@@ -95,9 +95,8 @@ fn main() {
         defense_sweep: args.experiment == "e13",
         trace: false,
         // The serving replay is a deployment extension, not a paper
-        // experiment; the soak bin (`serve_soak`) owns it.
+        // experiment; `tests/serve.rs` exercises it.
         serving: false,
-        engine: Default::default(),
     };
     eprintln!(
         "running study (control{} crawls) ...",

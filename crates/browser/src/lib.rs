@@ -21,7 +21,7 @@ pub mod memo;
 pub mod visit;
 
 pub use canvassing_analysis::{AnalysisCache, AnalysisStats, ScriptAnalysis, Verdict};
-pub use canvassing_script::{ExecEngine, ScriptCache, ScriptCacheStats};
+pub use canvassing_script::{ScriptCache, ScriptCacheStats};
 pub use defenses::DefenseMode;
 pub use extension::{AdBlockerKind, BlockDecision, Extension};
 pub use memo::{CrawlCaches, PerfCounters, PerfSnapshot, RenderEntry, RenderMemo};

@@ -42,8 +42,8 @@ use canvassing_analysis::AnalysisCache;
 use canvassing_dom::{ApiCall, Document, Extraction};
 use canvassing_raster::{DeviceProfile, SurfacePool};
 use canvassing_script::{
-    eval_engine_with_budget, run_compiled_with_budget, run_with_budget, source_hash, EvalOutcome,
-    ExecEngine, RuntimeError, ScriptCache, DEFAULT_STEP_BUDGET,
+    eval_compiled_with_budget, run_compiled_with_budget, source_hash, EvalOutcome, RuntimeError,
+    ScriptCache, DEFAULT_STEP_BUDGET,
 };
 
 /// Number of independently locked shards in the memo map.
@@ -214,7 +214,6 @@ impl RenderMemo {
         device: &DeviceProfile,
         budget: u64,
         scripts: Option<&ScriptCache>,
-        engine: ExecEngine,
         perf: &PerfCounters,
     ) -> Option<Arc<RenderEntry>> {
         let hash = source_hash(source);
@@ -238,7 +237,7 @@ impl RenderMemo {
         let slot = cell.slot.get_or_init(|| {
             computed = true;
             perf.memo_computes.fetch_add(1, Ordering::Relaxed);
-            compute_canonical(source, device, scripts, engine)
+            compute_canonical(source, device, scripts)
         });
         match slot {
             MemoSlot::Ready(entry) if entry.steps <= budget => {
@@ -257,18 +256,17 @@ impl RenderMemo {
     }
 }
 
-/// Runs `source` once on a fresh scratch document under the engine's
-/// full budget, producing the normalized record.
+/// Runs `source` once on a fresh scratch document under the full step
+/// budget, producing the normalized record.
 fn compute_canonical(
     source: &str,
     device: &DeviceProfile,
     scripts: Option<&ScriptCache>,
-    engine: ExecEngine,
 ) -> MemoSlot {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut doc = Document::new(device.clone());
         doc.set_current_script("");
-        let outcome = eval_cached(source, &mut doc, DEFAULT_STEP_BUDGET, scripts, engine);
+        let outcome = eval_cached(source, &mut doc, DEFAULT_STEP_BUDGET, scripts);
         let canvases_created = doc.canvas_count();
         let (calls, extractions) = doc.into_records();
         RenderEntry {
@@ -285,36 +283,24 @@ fn compute_canonical(
     }
 }
 
-/// `eval_with_budget`, but resolving the program through the shared
-/// compile cache when one is available and dispatching on the configured
-/// execution engine. The parse-failure contract matches
-/// `eval_with_budget` exactly (same message, zero steps).
-///
-/// When a cache is present the cached lookup always produces bytecode —
-/// even for a tree-walker run — so the crawl's `compiles` counter is a
-/// pure function of the workload, identical whichever engine executes.
-/// That keeps study reports byte-identical between engines (the A/B
-/// determinism gate) at the cost of one amortized-away compile per unique
-/// body.
+/// Runs `source` on the VM, resolving its bytecode through the shared
+/// compile cache when one is available. The parse-failure contract
+/// matches `eval_with_budget` exactly (same message, zero steps).
 pub(crate) fn eval_cached(
     source: &str,
     doc: &mut Document,
     budget: u64,
     scripts: Option<&ScriptCache>,
-    engine: ExecEngine,
 ) -> EvalOutcome {
     match scripts {
         Some(cache) => match cache.get_or_compile(source) {
-            Ok(exec) => match engine {
-                ExecEngine::Bytecode => run_compiled_with_budget(&exec.bytecode, doc, budget),
-                ExecEngine::TreeWalker => run_with_budget(&exec.program, doc, budget),
-            },
+            Ok(exec) => run_compiled_with_budget(&exec.bytecode, doc, budget),
             Err(e) => EvalOutcome {
                 result: Err(RuntimeError::new(format!("script parse failed: {e}"))),
                 steps: 0,
             },
         },
-        None => eval_engine_with_budget(source, doc, budget, engine),
+        None => eval_compiled_with_budget(source, doc, budget),
     }
 }
 
@@ -340,24 +326,10 @@ mod tests {
         let memo = RenderMemo::new();
         let perf = PerfCounters::default();
         let a = memo
-            .lookup(
-                FP,
-                &device(),
-                DEFAULT_STEP_BUDGET,
-                None,
-                ExecEngine::Bytecode,
-                &perf,
-            )
+            .lookup(FP, &device(), DEFAULT_STEP_BUDGET, None, &perf)
             .expect("replayable");
         let b = memo
-            .lookup(
-                FP,
-                &device(),
-                DEFAULT_STEP_BUDGET,
-                None,
-                ExecEngine::Bytecode,
-                &perf,
-            )
+            .lookup(FP, &device(), DEFAULT_STEP_BUDGET, None, &perf)
             .expect("replayable");
         assert!(Arc::ptr_eq(&a, &b));
         let snap = perf.snapshot();
@@ -377,14 +349,7 @@ mod tests {
         let memo = RenderMemo::new();
         let perf = PerfCounters::default();
         let entry = memo
-            .lookup(
-                FP,
-                &device(),
-                DEFAULT_STEP_BUDGET,
-                None,
-                ExecEngine::Bytecode,
-                &perf,
-            )
+            .lookup(FP, &device(), DEFAULT_STEP_BUDGET, None, &perf)
             .unwrap();
 
         let mut doc = Document::new(device());
@@ -405,7 +370,6 @@ mod tests {
                 &DeviceProfile::intel_ubuntu(),
                 DEFAULT_STEP_BUDGET,
                 None,
-                ExecEngine::Bytecode,
                 &perf,
             )
             .unwrap();
@@ -415,7 +379,6 @@ mod tests {
                 &DeviceProfile::apple_m1(),
                 DEFAULT_STEP_BUDGET,
                 None,
-                ExecEngine::Bytecode,
                 &perf,
             )
             .unwrap();
@@ -431,36 +394,15 @@ mod tests {
         let memo = RenderMemo::new();
         let perf = PerfCounters::default();
         let entry = memo
-            .lookup(
-                FP,
-                &device(),
-                DEFAULT_STEP_BUDGET,
-                None,
-                ExecEngine::Bytecode,
-                &perf,
-            )
+            .lookup(FP, &device(), DEFAULT_STEP_BUDGET, None, &perf)
             .unwrap();
         assert!(memo
-            .lookup(
-                FP,
-                &device(),
-                entry.steps - 1,
-                None,
-                ExecEngine::Bytecode,
-                &perf
-            )
+            .lookup(FP, &device(), entry.steps - 1, None, &perf)
             .is_none());
         assert_eq!(perf.snapshot().memo_bypasses, 1);
         // At exactly the canonical step count the entry fits.
         assert!(memo
-            .lookup(
-                FP,
-                &device(),
-                entry.steps,
-                None,
-                ExecEngine::Bytecode,
-                &perf
-            )
+            .lookup(FP, &device(), entry.steps, None, &perf)
             .is_some());
     }
 
@@ -469,15 +411,8 @@ mod tests {
         let memo = RenderMemo::new();
         let cache = ScriptCache::new();
         let perf = PerfCounters::default();
-        memo.lookup(
-            FP,
-            &device(),
-            DEFAULT_STEP_BUDGET,
-            Some(&cache),
-            ExecEngine::Bytecode,
-            &perf,
-        )
-        .unwrap();
+        memo.lookup(FP, &device(), DEFAULT_STEP_BUDGET, Some(&cache), &perf)
+            .unwrap();
         assert_eq!(cache.stats().parses, 1);
     }
 
@@ -486,14 +421,7 @@ mod tests {
         let memo = RenderMemo::new();
         let perf = PerfCounters::default();
         let entry = memo
-            .lookup(
-                "let = ;",
-                &device(),
-                DEFAULT_STEP_BUDGET,
-                None,
-                ExecEngine::Bytecode,
-                &perf,
-            )
+            .lookup("let = ;", &device(), DEFAULT_STEP_BUDGET, None, &perf)
             .expect("parse failures are replayable");
         assert_eq!(entry.steps, 0);
         assert!(entry
@@ -522,14 +450,7 @@ mod tests {
         let memo = RenderMemo::new();
         let perf = PerfCounters::default();
         let entry = memo
-            .lookup(
-                double,
-                &device(),
-                DEFAULT_STEP_BUDGET,
-                None,
-                ExecEngine::Bytecode,
-                &perf,
-            )
+            .lookup(double, &device(), DEFAULT_STEP_BUDGET, None, &perf)
             .unwrap();
         assert_eq!(entry.extractions.len(), 2);
         assert_eq!(entry.canvases_created, 2);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use canvassing_dom::{ApiCall, Document, Extraction};
 use canvassing_net::{FetchError, Network, Resource, ScriptRef, Url};
 use canvassing_raster::DeviceProfile;
-use canvassing_script::{ExecEngine, DEFAULT_STEP_BUDGET};
+use canvassing_script::DEFAULT_STEP_BUDGET;
 use canvassing_trace::VisitRecorder;
 use serde::{Deserialize, Serialize};
 
@@ -191,10 +191,6 @@ pub struct Browser {
     /// Shared crawl caches (compiled scripts, render memo, buffer pool).
     /// Default-empty: an unconfigured browser caches nothing.
     pub caches: CrawlCaches,
-    /// Script execution engine (bytecode VM by default; the tree-walker
-    /// remains selectable as the differential oracle — both produce
-    /// byte-identical visits and step counts).
-    pub engine: ExecEngine,
 }
 
 impl Browser {
@@ -208,7 +204,6 @@ impl Browser {
             passes_bot_checks: true,
             policy: VisitPolicy::default(),
             caches: CrawlCaches::default(),
-            engine: ExecEngine::default(),
         }
     }
 
@@ -236,7 +231,6 @@ impl Browser {
                     &self.device,
                     budget,
                     self.caches.scripts.as_deref(),
-                    self.engine,
                     &self.caches.perf,
                 ) {
                     doc.absorb_render(
@@ -261,13 +255,7 @@ impl Browser {
             .script_executions
             .fetch_add(1, Ordering::Relaxed);
         doc.set_current_script(attributed_url);
-        let outcome = eval_cached(
-            source,
-            doc,
-            budget,
-            self.caches.scripts.as_deref(),
-            self.engine,
-        );
+        let outcome = eval_cached(source, doc, budget, self.caches.scripts.as_deref());
         rec.instant("script.exec", || outcome.steps.to_string());
         rec.bump("script.execs");
         rec.observe("script.steps", outcome.steps);

@@ -27,7 +27,9 @@ use crate::validation::{
     ConfusionMatrix, VendorStaticRow,
 };
 
-/// What to run beyond the control crawl.
+/// What to run beyond the control crawl. Every crawl a study runs
+/// executes scripts on the bytecode VM; the tree-walking interpreter is a
+/// test oracle only, so there is no engine to choose.
 #[derive(Debug, Clone, Copy)]
 pub struct StudyOptions {
     /// Crawl worker threads.
@@ -52,11 +54,6 @@ pub struct StudyOptions {
     /// default: serving is a deployment story layered on the study, not
     /// part of the paper's measurements.
     pub serving: bool,
-    /// Script execution engine for every crawl the study runs. The
-    /// bytecode VM and the tree-walking oracle produce byte-identical
-    /// reports (gated in `tests/engine_identity.rs`), so this is an A/B
-    /// switch for that gate, not a result-affecting option.
-    pub engine: canvassing_browser::ExecEngine,
 }
 
 impl Default for StudyOptions {
@@ -68,7 +65,6 @@ impl Default for StudyOptions {
             defense_sweep: false,
             trace: false,
             serving: false,
-            engine: canvassing_browser::ExecEngine::default(),
         }
     }
 }
@@ -246,7 +242,6 @@ pub fn run_study(web: &SyntheticWeb, options: &StudyOptions) -> StudyResults {
 
     let mut control = CrawlConfig::control();
     control.workers = options.workers;
-    control.engine = options.engine;
     if options.trace {
         control.trace = Some(std::sync::Arc::new(canvassing_trace::CountingSink::new()));
     }
@@ -424,7 +419,6 @@ pub fn run_study_streamed(
 
     let mut control = CrawlConfig::control();
     control.workers = options.workers;
-    control.engine = options.engine;
     if options.trace {
         control.trace = Some(std::sync::Arc::new(canvassing_trace::CountingSink::new()));
     }
@@ -498,7 +492,6 @@ pub fn run_study_supervised(
 
     let mut control = CrawlConfig::control();
     control.workers = options.workers;
-    control.engine = options.engine;
 
     let (popular_ds, popular_sup) = supervise_crawl(
         &web.network,
@@ -592,7 +585,6 @@ fn finish_study(
         for kind in [AdBlockerKind::AdblockPlus, AdBlockerKind::UblockOrigin] {
             let mut config = CrawlConfig::with_adblocker(kind, &web.lists.easylist);
             config.workers = options.workers;
-            config.engine = options.engine;
             let p = crawl(&web.network, popular_frontier, &config);
             let t = crawl(&web.network, tail_frontier, &config);
             let p_det: Vec<SiteDetection> = p.successful().map(|(_, v)| detect(v)).collect();
@@ -612,7 +604,6 @@ fn finish_study(
     let validation = if options.m1_validation {
         let mut config = CrawlConfig::with_device(DeviceProfile::apple_m1());
         config.workers = options.workers;
-        config.engine = options.engine;
         let m1_ds = crawl(&web.network, popular_frontier, &config);
         let m1_det: Vec<SiteDetection> = m1_ds.successful().map(|(_, v)| detect(v)).collect();
         let m1_clustering = Clustering::build(m1_det.iter());
@@ -660,7 +651,6 @@ fn finish_study(
             let mut config = CrawlConfig::control();
             config.label = format!("defense-{label}");
             config.workers = options.workers;
-            config.engine = options.engine;
             config.defense = defense;
             let ds = crawl(&web.network, popular_frontier, &config);
             let detections: Vec<SiteDetection> = ds.successful().map(|(_, v)| detect(v)).collect();
@@ -1073,7 +1063,6 @@ mod tests {
                 defense_sweep: false,
                 trace: true,
                 serving: true,
-                engine: Default::default(),
             },
         );
 
@@ -1249,7 +1238,6 @@ mod defense_sweep_tests {
                 defense_sweep: true,
                 trace: false,
                 serving: false,
-                engine: Default::default(),
             },
         );
         assert_eq!(results.defense_sweep.len(), 4);

@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use canvassing_browser::{
-    AdBlockerKind, Browser, CrawlCaches, DefenseMode, ExecEngine, Extension, PageVisit, RenderMemo,
+    AdBlockerKind, Browser, CrawlCaches, DefenseMode, Extension, PageVisit, RenderMemo,
     ScriptCache, VisitPolicy,
 };
 use canvassing_net::{Network, Url};
@@ -179,7 +179,10 @@ impl CachingPolicy {
     }
 }
 
-/// Configuration for one crawl run.
+/// Configuration for one crawl run. Every crawl executes scripts on the
+/// bytecode VM; the tree-walking interpreter is not selectable here and
+/// serves only as the test oracle the VM is checked against
+/// (`tests/engine_identity.rs`).
 pub struct CrawlConfig {
     /// Human-readable label, e.g. `"control"`, `"adblock-plus"`.
     pub label: String,
@@ -203,11 +206,6 @@ pub struct CrawlConfig {
     pub isolate_panics: bool,
     /// Cross-visit cache layers (throughput only; never changes records).
     pub caching: CachingPolicy,
-    /// Script execution engine. The bytecode VM is the production
-    /// default; the tree-walking interpreter remains selectable as the
-    /// differential oracle — the two produce byte-identical datasets,
-    /// stats, and study reports (gated in `tests/engine_identity.rs`).
-    pub engine: ExecEngine,
     /// Per-host circuit breakers (off by default; see [`BreakerPolicy`]).
     pub breakers: BreakerPolicy,
     /// Keep partial evidence from visits that die mid-pipeline, attached
@@ -238,7 +236,6 @@ impl CrawlConfig {
             policy: VisitPolicy::default(),
             isolate_panics: true,
             caching: CachingPolicy::default(),
-            engine: ExecEngine::default(),
             breakers: BreakerPolicy::disabled(),
             salvage: true,
             trace: None,
@@ -275,7 +272,6 @@ impl CrawlConfig {
         browser.passes_bot_checks = self.passes_bot_checks;
         browser.policy = self.policy;
         browser.caches = caches;
-        browser.engine = self.engine;
         if let Some((kind, list)) = &self.adblocker {
             browser.extension = Some(Extension::new(*kind, list));
         }
@@ -463,6 +459,7 @@ pub struct CrawlStats {
     /// Triage lookups answered from the analysis cache.
     pub analysis_hits: u64,
     /// Visit traces delivered to the configured sink (0 when tracing is
+    /// off: no sink, or a sink whose `enabled()` is false).
     pub trace_visits: u64,
     /// Spans across all delivered traces.
     pub trace_spans: u64,

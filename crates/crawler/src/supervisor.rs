@@ -47,9 +47,8 @@
 //! deduplicates records by site — and every execution of a site yields
 //! the identical record ([`crate::SiteCrawler`]'s purity contract), so
 //! dropping duplicates is lossless. `tests/supervisor_chaos.rs` proves
-//! it with a kill-at-every-record sweep; `canvassing-bench`'s
-//! `supervisor_soak` bin re-runs the sweep plus the straggler battery
-//! as a CI gate.
+//! it with a kill-at-every-record sweep plus the stall, duplicate,
+//! straggler and seeded-chaos scenarios.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -321,8 +320,7 @@ impl FaultScript {
 
 /// What supervision did and what it cost, alongside the merge's own
 /// accounting. Fully deterministic for a given `(workload, faults)`
-/// pair — the soak bench gates these numbers against a committed
-/// baseline.
+/// pair — `tests/supervisor_chaos.rs` pins these numbers per scenario.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SupervisionReport {
     /// Shards supervised.

@@ -19,10 +19,11 @@
 //! `canvassing-dom`. Execution is bounded by a step budget so generated
 //! scripts can never hang a crawl worker.
 //!
-//! Scripts execute on a compile-to-bytecode VM ([`compile`] +
-//! [`run_compiled_with_budget`]) with step accounting byte-identical to
-//! the original tree-walking interpreter, which remains available as a
-//! differential-testing oracle (select with [`ExecEngine`]). The
+//! Scripts execute on one engine, a compile-to-bytecode VM ([`compile`] +
+//! [`run_compiled_with_budget`]). The original tree-walking interpreter
+//! ([`run_with_budget`]) stays only as a test oracle: the differential
+//! suite and the corpus-level engine identity test require identical
+//! results, host effects and step accounting from both. The
 //! [`ScriptCache`] caches parse *and* bytecode per unique source body.
 //!
 //! ```
@@ -56,7 +57,4 @@ pub use interp::{eval, eval_with_budget, run, run_with_budget, EvalOutcome, DEFA
 pub use parser::{parse, ParseError};
 pub use value::{Host, HostRef, NullHost, RuntimeError, Value};
 pub use verify::{verify, VerifyError, VerifyStats};
-pub use vm::{
-    eval_engine_with_budget, run_compiled, run_compiled_with_budget, run_engine_with_budget,
-    ExecEngine,
-};
+pub use vm::{eval_compiled_with_budget, run_compiled, run_compiled_with_budget};

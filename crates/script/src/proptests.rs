@@ -306,12 +306,7 @@ fn differential(src: &str, budgets: &[u64]) -> u64 {
             ),
             _ => (
                 crate::eval_with_budget(src, &mut tw_host, budget),
-                crate::eval_engine_with_budget(
-                    src,
-                    &mut vm_host,
-                    budget,
-                    crate::ExecEngine::Bytecode,
-                ),
+                crate::eval_compiled_with_budget(src, &mut vm_host, budget),
             ),
         };
         assert_eq!(

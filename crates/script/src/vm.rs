@@ -21,55 +21,17 @@ use crate::interp::{
 };
 use crate::value::{Host, RuntimeError, Value};
 
-/// Which execution engine runs a script. The bytecode VM is the
-/// production default; the tree-walker is kept as a differential oracle
-/// (and for A/B determinism gates — study output must be byte-identical
-/// between the two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecEngine {
-    /// The original tree-walking interpreter ([`crate::run_with_budget`]).
-    TreeWalker,
-    /// The bytecode compiler + VM ([`run_compiled_with_budget`]).
-    #[default]
-    Bytecode,
-}
-
-/// Runs a parsed program through the chosen engine. For
-/// [`ExecEngine::Bytecode`] this compiles on the fly — callers with a
-/// [`crate::ScriptCache`] should prefer its cached bytecode instead.
-pub fn run_engine_with_budget(
-    program: &crate::ast::Program,
-    host: &mut dyn Host,
-    budget: u64,
-    engine: ExecEngine,
-) -> EvalOutcome {
-    match engine {
-        ExecEngine::TreeWalker => crate::interp::run_with_budget(program, host, budget),
-        ExecEngine::Bytecode => {
-            let compiled = crate::compile::compile(program);
-            run_compiled_with_budget(&compiled, host, budget)
-        }
+/// Parses, compiles and runs source text on the VM. A parse failure
+/// consumes zero steps, like the tree-walker's [`crate::eval_with_budget`].
+/// Callers with a [`crate::ScriptCache`] should prefer its cached bytecode.
+pub fn eval_compiled_with_budget(src: &str, host: &mut dyn Host, budget: u64) -> EvalOutcome {
+    match crate::parser::parse(src) {
+        Ok(program) => run_compiled_with_budget(&crate::compile::compile(&program), host, budget),
+        Err(e) => EvalOutcome {
+            result: Err(RuntimeError::new(format!("script parse failed: {e}"))),
+            steps: 0,
+        },
     }
-}
-
-/// Parses and runs source text through the chosen engine. A parse failure
-/// consumes zero steps, like [`crate::eval_with_budget`].
-pub fn eval_engine_with_budget(
-    src: &str,
-    host: &mut dyn Host,
-    budget: u64,
-    engine: ExecEngine,
-) -> EvalOutcome {
-    let program = match crate::parser::parse(src) {
-        Ok(p) => p,
-        Err(e) => {
-            return EvalOutcome {
-                result: Err(RuntimeError::new(format!("script parse failed: {e}"))),
-                steps: 0,
-            }
-        }
-    };
-    run_engine_with_budget(&program, host, budget, engine)
 }
 
 /// Runs compiled bytecode with the default step budget.

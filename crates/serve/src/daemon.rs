@@ -23,7 +23,7 @@
 //!    admission-epoch [`RuleSnapshot`].
 //!
 //! Every offered request yields exactly one response — served, typed
-//! failure, or typed rejection. The soak bin gates on that partition
+//! failure, or typed rejection. `tests/serve.rs` gates on that partition
 //! being exact, on responses being byte-identical across worker counts,
 //! and on the plan's predicted analysis count matching the cache's
 //! actual counter.

@@ -33,7 +33,7 @@
 //! ([`ServePlan`]) makes every control-plane decision single-threaded;
 //! executor workers only prewarm the parse cache (parse-under-shard-lock
 //! keeps counts schedule-independent); responses assemble in request
-//! order. The soak bin gates byte-identical responses across worker
+//! order. `tests/serve.rs` gates byte-identical responses across worker
 //! counts 1/4/8.
 
 #![warn(missing_docs)]

@@ -5,7 +5,7 @@
 //! from evenly spaced slots with LCG jitter, body picks from an inverse
 //! power-law (Zipf) table, and URL-vs-body payload choices from the same
 //! LCG stream. Two runs with the same seed offer byte-identical request
-//! schedules, which is what lets the soak bin compare whole response
+//! schedules, which is what lets `tests/serve.rs` compare whole response
 //! streams across worker counts.
 
 use std::collections::HashSet;

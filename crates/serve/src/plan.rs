@@ -33,7 +33,7 @@
 //! is admitted for full analysis, any later request for the same body
 //! shares that analysis (it would block on the shard lock, not analyze
 //! twice). The daemon replays these decisions, so plan and execution
-//! agree exactly — a property the soak bin gates on.
+//! agree exactly — a property `tests/serve.rs` gates on.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};

@@ -2,9 +2,9 @@
 //! percentiles, throughput, and per-phase breakdowns.
 //!
 //! All fields are integers (latencies in simulated ms; `qps_x1000` is a
-//! fixed-point rate) so the serialized JSON — the `BENCH_6.json` gate
-//! artifact — is byte-stable across platforms and float-formatting
-//! quirks. Percentiles are computed exactly (nearest-rank over the
+//! fixed-point rate) so the serialized JSON — pinned exactly in
+//! `tests/golden/serve_stats.json` — is byte-stable across platforms and
+//! float-formatting quirks. Percentiles are computed exactly (nearest-rank over the
 //! sorted completed-latency list), with the trace layer's log2 histogram
 //! only cross-checking them from above.
 
@@ -69,7 +69,7 @@ pub struct PhaseStats {
     pub shed_per_mille: u64,
 }
 
-/// The full run summary (the `BENCH_6.json` schema).
+/// The full run summary (the `tests/golden/serve_stats.json` schema).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ServeStats {
     /// Requests offered.
@@ -243,7 +243,7 @@ impl ServeStats {
     }
 
     /// Human-readable block (stable formatting; used by the report
-    /// section and the soak's stdout).
+    /// section).
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

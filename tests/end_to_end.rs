@@ -24,7 +24,6 @@ fn study() -> &'static canvassing::study::StudyResults {
                 defense_sweep: false,
                 trace: false,
                 serving: false,
-                engine: Default::default(),
             },
         )
     })

@@ -43,7 +43,6 @@ fn render_canonical() -> String {
             defense_sweep: false,
             trace: true,
             serving: false,
-            engine: Default::default(),
         },
     );
     results.render_report()

@@ -204,37 +204,32 @@ fn breakers_and_salvage_preserve_byte_identity_across_cache_strategies() {
 
 #[test]
 fn vm_engine_is_byte_identical_across_workers_and_cache_temperature() {
-    // The bytecode VM composes with every perf layer: with the VM
-    // explicitly on, datasets stay byte-identical across worker counts
-    // 1/4/8 and across cold vs warm shared caches — and match the
-    // tree-walking oracle on the same workload.
-    use canvassing_browser::ExecEngine;
+    // The bytecode VM composes with every perf layer: datasets stay
+    // byte-identical across worker counts 1/4/8 and across cold vs warm
+    // shared caches.
     let (web, frontier) = web(28);
-    let vm_config = |workers: usize| {
-        let mut cfg = config(workers, CachingPolicy::default());
-        cfg.engine = ExecEngine::Bytecode;
-        cfg
-    };
-    let mut oracle_cfg = config(4, CachingPolicy::default());
-    oracle_cfg.engine = ExecEngine::TreeWalker;
-    let oracle = crawl(&web.network, &frontier, &oracle_cfg)
-        .to_json()
-        .unwrap();
+    let reference = crawl(
+        &web.network,
+        &frontier,
+        &config(4, CachingPolicy::default()),
+    )
+    .to_json()
+    .unwrap();
 
     for workers in [1, 4, 8] {
-        let cfg = vm_config(workers);
+        let cfg = config(workers, CachingPolicy::default());
         let caches = cfg.build_caches();
         let (cold_ds, cold) = crawl_with_caches(&web.network, &frontier, &cfg, &caches);
         let (warm_ds, warm) = crawl_with_caches(&web.network, &frontier, &cfg, &caches);
         assert_eq!(
             cold_ds.to_json().unwrap(),
-            oracle,
-            "VM cold crawl diverged from the tree-walker at {workers} workers"
+            reference,
+            "VM cold crawl diverged at {workers} workers"
         );
         assert_eq!(
             warm_ds.to_json().unwrap(),
-            oracle,
-            "VM warm crawl diverged from the tree-walker at {workers} workers"
+            reference,
+            "VM warm crawl diverged at {workers} workers"
         );
         assert!(cold.script_compiles > 0, "cold pass compiles the corpus");
         assert_eq!(
@@ -244,27 +239,6 @@ fn vm_engine_is_byte_identical_across_workers_and_cache_temperature() {
         assert_eq!(warm.script_compiles, 0, "warm pass recompiles nothing");
         assert_eq!(warm.script_parses, 0, "warm pass re-parses nothing");
     }
-}
-
-#[test]
-fn compile_counts_are_engine_independent() {
-    // The `compiles` counter is part of the study report, so it must be
-    // a pure function of the workload: the tree-walker path attaches
-    // bytecode to cached entries too, and both engines report the same
-    // parse/compile/hit totals.
-    use canvassing_browser::ExecEngine;
-    let (web, frontier) = web(29);
-    let stats_for = |engine: ExecEngine| {
-        let mut cfg = config(4, CachingPolicy::default());
-        cfg.engine = engine;
-        let (_, stats) = crawl_with_stats(&web.network, &frontier, &cfg);
-        stats
-    };
-    let vm = stats_for(ExecEngine::Bytecode);
-    let tw = stats_for(ExecEngine::TreeWalker);
-    assert_eq!(vm, tw, "crawl stats must not depend on the engine");
-    assert!(vm.script_compiles > 0);
-    assert!(vm.script_compiles <= vm.script_parses);
 }
 
 #[test]

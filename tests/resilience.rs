@@ -9,6 +9,7 @@
 // invariant is the correct outcome.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use canvassing_browser::DefenseMode;
 use canvassing_crawler::{
     crawl, crawl_with_stats, resume_crawl, BreakerPlan, BreakerPolicy, CrawlConfig, CrawlDataset,
     FailureKind, RetryPolicy, VisitFidelity,
@@ -83,6 +84,28 @@ fn faulted_crawl_is_byte_identical_across_worker_counts() {
         b.to_json().unwrap(),
         "records must be pure functions of (url, config, network)"
     );
+
+    // Per-render randomization bypasses the render memo, so every script
+    // runs in place on a defended document; with breakers and salvage on
+    // the dataset must still not depend on the schedule.
+    let defended = |workers: usize| {
+        let mut cfg = config(workers, 1);
+        cfg.defense = DefenseMode::RandomizePerRender { seed: 1 };
+        cfg.breakers = BreakerPolicy::enabled();
+        cfg.salvage = true;
+        cfg
+    };
+    let reference = crawl(&web.network, &frontier, &defended(1));
+    assert!(reference.salvaged().count() > 0, "matrix produces salvage");
+    for workers in [4, 8] {
+        assert_eq!(
+            crawl(&web.network, &frontier, &defended(workers))
+                .to_json()
+                .unwrap(),
+            reference.to_json().unwrap(),
+            "defended crawl with breakers and salvage diverged at {workers} workers"
+        );
+    }
 }
 
 #[test]

@@ -14,7 +14,15 @@ use canvassing_serve::{
     generate, harvest_corpus, Corpus, LoadProfile, Payload, ReloadEvent, RuleSnapshot, ServeConfig,
     ServeOutput, ServeStats, Served, ShedThresholds, VerdictRequest, VerdictService,
 };
+use canvassing_trace::{CountingSink, TraceSink};
 use canvassing_webgen::{Cohort, SyntheticWeb, WebConfig};
+
+/// The fixture's exact run summary. To regenerate after an intentional
+/// change: `UPDATE_GOLDEN=1 cargo test --test serve`, then review the diff.
+const SERVE_STATS_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/serve_stats.json"
+);
 
 /// A small synthetic web plus a harvested script corpus and the standard
 /// load schedule compressed to test length.
@@ -63,6 +71,7 @@ fn run(
     requests: &[VerdictRequest],
     reloads: &[ReloadEvent],
     workers: usize,
+    sink: Option<&dyn TraceSink>,
 ) -> (VerdictService, ServeOutput) {
     let service = VerdictService::new(ServeConfig {
         workers,
@@ -73,7 +82,7 @@ fn run(
         reloads,
         boot_snapshot(web),
         Some(&web.network),
-        None,
+        sink,
     );
     (service, out)
 }
@@ -84,7 +93,7 @@ fn response_stream_is_byte_identical_across_worker_counts() {
     let streams: Vec<String> = [1usize, 4, 8]
         .iter()
         .map(|&w| {
-            let (_, out) = run(&web, &requests, &reloads, w);
+            let (_, out) = run(&web, &requests, &reloads, w, None);
             serde_json::to_string(&out.responses).unwrap()
         })
         .collect();
@@ -95,7 +104,8 @@ fn response_stream_is_byte_identical_across_worker_counts() {
 #[test]
 fn shed_partition_is_exact_and_deadlines_propagate() {
     let (web, _, requests, reloads) = soak_fixture();
-    let (_, out) = run(&web, &requests, &reloads, 4);
+    let sink = CountingSink::default();
+    let (_, out) = run(&web, &requests, &reloads, 4, Some(&sink));
     let labels: Vec<String> = ["ramp", "steady", "burst", "overload", "drain"]
         .iter()
         .map(|s| s.to_string())
@@ -129,12 +139,26 @@ fn shed_partition_is_exact_and_deadlines_propagate() {
             }
         }
     }
+
+    // The trace sink saw one per-request visit for every offered request.
+    let (visits, _, _) = sink.totals();
+    assert_eq!(visits, stats.offered, "one trace per offered request");
+
+    // The whole summary is deterministic: pin it exactly.
+    let json = serde_json::to_string_pretty(&stats).unwrap() + "\n";
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(SERVE_STATS_GOLDEN, &json).unwrap();
+        return;
+    }
+    let golden = std::fs::read_to_string(SERVE_STATS_GOLDEN)
+        .expect("golden stats missing: run with UPDATE_GOLDEN=1 to create them");
+    assert_eq!(json, golden, "ServeStats drifted from the golden summary");
 }
 
 #[test]
 fn mid_run_reload_drops_nothing_and_reclassifies_under_the_new_epoch() {
     let (web, _, requests, reloads) = soak_fixture();
-    let (service, out) = run(&web, &requests, &reloads, 4);
+    let (service, out) = run(&web, &requests, &reloads, 4, None);
 
     // Zero drops: a dense in-order 1:1 response per offered request.
     assert_eq!(out.responses.len(), requests.len());
@@ -165,7 +189,7 @@ fn mid_run_reload_drops_nothing_and_reclassifies_under_the_new_epoch() {
 #[test]
 fn classifier_work_matches_the_admission_plan_exactly() {
     let (web, _, requests, reloads) = soak_fixture();
-    let (service, out) = run(&web, &requests, &reloads, 8);
+    let (service, out) = run(&web, &requests, &reloads, 8, None);
     assert_eq!(
         service.analysis_stats().analyses,
         out.plan.predicted_analyses(),
@@ -204,7 +228,7 @@ fn faulted_url_fetches_surface_as_typed_responses() {
             phase: 0,
         },
     ];
-    let (_, out) = run(&web, &requests, &[], 4);
+    let (_, out) = run(&web, &requests, &[], 4, None);
     match &out.responses[0].served {
         Served::FetchFailed { error } => assert_eq!(error, "unreachable"),
         other => panic!("dead host must answer a typed failure, got {other:?}"),

@@ -71,7 +71,6 @@ fn streamed_study_report_is_byte_identical() {
         defense_sweep: false,
         trace: true,
         serving: false,
-        engine: Default::default(),
     };
     let spill = tmp_dir("study-spill");
     let streaming = StreamingOptions {

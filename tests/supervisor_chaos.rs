@@ -8,9 +8,8 @@
 //! uninterrupted `workers = 1` crawl, and the merge's accounting is
 //! exact (`records_recovered + recrawled == frontier`, duplicates
 //! counted, re-work bounded by one segment per crash). The tentpole is
-//! the kill-at-every-record sweep; `canvassing-bench`'s
-//! `supervisor_soak` bin re-runs it as a CI gate with a committed
-//! baseline.
+//! the kill-at-every-record sweep; every scenario also pins its exact
+//! supervision counters.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -61,6 +60,27 @@ fn json(ds: &canvassing_crawler::CrawlDataset) -> String {
     serde_json::to_string(ds).unwrap()
 }
 
+/// The scenario counters of a supervision report, in a fixed order:
+/// launched, crashed, fenced, cancelled, leases expired, leases stolen,
+/// re-leases, speculative launches, records crawled, records redone,
+/// duplicates dropped, max epoch.
+fn counters(report: &canvassing_crawler::SupervisionReport) -> [usize; 12] {
+    [
+        report.workers_launched,
+        report.workers_crashed,
+        report.workers_fenced,
+        report.workers_cancelled,
+        report.leases_expired,
+        report.leases_stolen,
+        report.re_leases,
+        report.speculative_launches,
+        report.records_crawled,
+        report.records_redone,
+        report.merge.duplicates_dropped,
+        report.max_epoch as usize,
+    ]
+}
+
 fn instant_total(sink: &Arc<RingSink>, name: &str) -> usize {
     sink.traces().iter().map(|t| t.instant_count(name)).sum()
 }
@@ -108,6 +128,21 @@ fn kill_at_every_record_merges_byte_identical() {
     let (web, frontier, config) = workload();
     let shards = 2;
     let shard0 = shard_range(frontier.len(), 0, shards);
+    // No kill at all: one launch per shard and nothing re-done.
+    let report = assert_supervised_identical(
+        &web.network,
+        &frontier,
+        &config,
+        &tmp_dir("clean"),
+        &sup(shards, 6),
+        &FaultScript::none(),
+        "clean",
+    );
+    assert_eq!(
+        counters(&report),
+        [2, 0, 0, 0, 0, 0, 0, 0, 40, 0, 0, 1],
+        "clean"
+    );
     for k in 0..shard0.len() {
         let dir = tmp_dir(&format!("kill-{k}"));
         let mut faults = FaultScript::none();
@@ -127,6 +162,11 @@ fn kill_at_every_record_merges_byte_identical() {
         // Appends flush record-by-record, so the only lost work is the
         // torn in-flight record itself.
         assert_eq!(report.records_redone, 1, "kill at {k}");
+        assert_eq!(
+            counters(&report),
+            [3, 1, 0, 0, 0, 0, 1, 0, 41, 1, 0, 2],
+            "kill at {k}"
+        );
     }
 }
 
@@ -152,6 +192,11 @@ fn consecutive_crashes_across_epochs_still_merge_identically() {
     assert_eq!(report.re_leases, 2);
     assert_eq!(report.max_epoch, 3);
     assert_eq!(report.records_redone, 2, "one torn record per crash");
+    assert_eq!(
+        counters(&report),
+        [4, 2, 0, 0, 0, 0, 2, 0, 42, 2, 0, 3],
+        "scenario counters"
+    );
 }
 
 /// Crash before the first spill: the shard has an owner on paper and
@@ -174,6 +219,11 @@ fn crash_before_first_spill_re_leases_from_scratch() {
     assert_eq!(report.workers_crashed, 1);
     assert_eq!(report.re_leases, 1);
     assert_eq!(report.records_redone, 0, "nothing was ever crawled twice");
+    assert_eq!(
+        counters(&report),
+        [3, 1, 0, 0, 0, 0, 1, 0, 40, 0, 0, 2],
+        "scenario counters"
+    );
 }
 
 /// A hung process: stops crawling *and* heartbeating. Only the lease
@@ -201,6 +251,11 @@ fn stalled_worker_expires_and_is_re_leased() {
     assert_eq!(instant_total(&sink, "worker.stall"), 1);
     assert_eq!(instant_total(&sink, "lease.expire"), 1, "expire fires once");
     assert_eq!(instant_total(&sink, "worker.restart"), 1);
+    assert_eq!(
+        counters(&report),
+        [3, 0, 0, 0, 1, 0, 1, 0, 40, 0, 0, 2],
+        "scenario counters"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -234,6 +289,11 @@ fn duplicate_launch_is_fenced_and_merge_drops_the_overlap() {
     );
     assert_eq!(instant_total(&sink, "lease.steal"), 1);
     assert_eq!(instant_total(&sink, "worker.fenced"), 1);
+    assert_eq!(
+        counters(&report),
+        [3, 0, 1, 0, 0, 1, 0, 0, 42, 2, 2, 2],
+        "scenario counters"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -268,8 +328,23 @@ fn straggler_is_raced_and_the_loser_cancelled() {
     assert_eq!(instant_total(&sink, "straggler.speculate"), 1);
     assert_eq!(instant_total(&sink, "worker.cancel"), 1);
     assert!(report.wasted_work_ratio() < 0.5, "speculation is bounded");
+    assert_eq!(
+        counters(&report),
+        [3, 0, 0, 1, 0, 1, 0, 1, 41, 1, 1, 2],
+        "scenario counters"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `counters` of each seeded chaos run, seeds 1 to 6.
+const SEEDED_COUNTERS: [[usize; 12]; 6] = [
+    [6, 1, 1, 0, 0, 1, 1, 0, 44, 4, 3, 2],
+    [6, 2, 0, 0, 0, 0, 2, 0, 41, 1, 0, 2],
+    [9, 5, 0, 0, 0, 0, 5, 0, 44, 4, 0, 3],
+    [6, 1, 1, 0, 0, 1, 1, 0, 42, 2, 2, 2],
+    [7, 2, 1, 0, 0, 1, 2, 0, 46, 6, 4, 3],
+    [9, 4, 0, 0, 1, 0, 5, 0, 44, 4, 0, 3],
+];
 
 /// Seeded mixed chaos: crashes, stalls, stragglers, double-crashes, and
 /// duplicate launches sprinkled across shards by an LCG — every seed
@@ -280,7 +355,7 @@ fn seeded_chaos_sweep_is_always_byte_identical() {
     for seed in 1..=6u64 {
         let dir = tmp_dir(&format!("seeded-{seed}"));
         let faults = FaultScript::seeded(seed, 4);
-        assert_supervised_identical(
+        let report = assert_supervised_identical(
             &web.network,
             &frontier,
             &config,
@@ -288,6 +363,11 @@ fn seeded_chaos_sweep_is_always_byte_identical() {
             &sup(4, 5),
             &faults,
             &format!("seeded chaos {seed}"),
+        );
+        assert_eq!(
+            counters(&report),
+            SEEDED_COUNTERS[seed as usize - 1],
+            "seeded chaos {seed}"
         );
     }
 }
@@ -332,7 +412,6 @@ fn supervised_study_report_is_identical_across_fault_scripts() {
         defense_sweep: false,
         trace: false,
         serving: false,
-        engine: Default::default(),
     };
     let batch = run_study(&web, &options);
 
