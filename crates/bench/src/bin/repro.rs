@@ -15,7 +15,7 @@
 // invariant is the correct outcome.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use canvassing::study::{run_study, StudyOptions, StudyResults};
+use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions, StudyResults};
 use canvassing_vendors::all_vendors;
 use canvassing_webgen::{SyntheticWeb, WebConfig};
 
@@ -107,7 +107,8 @@ fn main() {
         }
     );
     let start = std::time::Instant::now();
-    let results = run_study(&web, &options);
+    let results = run_study_streamed(&web, &options, &StreamingOptions::default())
+        .expect("a study without a spill directory does no I/O");
     eprintln!("study completed in {:.1?}", start.elapsed());
 
     if want("e1") {

@@ -1,10 +1,11 @@
-//! Constant-memory cohort aggregation: the streaming counterpart of
-//! [`analyze_cohort`](crate::study::analyze_cohort).
+//! Constant-memory cohort aggregation: every study runner turns a
+//! cohort's crawl records into its [`CohortAnalysis`] through this one
+//! fold.
 //!
-//! The batch path materializes every [`SiteRecord`] before computing the
-//! cohort's statistics — at scale 25.0 (1M sites) that is gigabytes of
-//! visit data held live. [`CohortAccumulator`] folds each record into
-//! bounded state as it streams off the scheduler instead:
+//! Holding every [`SiteRecord`] before computing the cohort's statistics
+//! would keep gigabytes of visit data live at scale 25.0 (1M sites).
+//! [`CohortAccumulator`] folds each record into bounded state as it
+//! streams off the scheduler instead:
 //!
 //! * prevalence scalars plus a canvases-per-site **histogram** (not the
 //!   per-site vector);
@@ -19,7 +20,11 @@
 //! `absorb` is associative and commutative up to the record stream being
 //! a set of distinct sites: any fold order and any shard partition merge
 //! to the same state (gated by the seeded sweep below and by
-//! `tests/streaming_equivalence.rs` at study level).
+//! `tests/streaming_equivalence.rs` at study level). Each component is
+//! the streaming form of a slice helper over a materialized dataset
+//! ([`Prevalence::compute`](crate::prevalence::Prevalence::compute),
+//! [`Clustering::build`](crate::cluster::Clustering::build), ...); the
+//! test below holds the two forms equal.
 
 use std::collections::BTreeMap;
 
@@ -158,7 +163,10 @@ impl CohortAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::study::analyze_cohort;
+    use crate::blocklist_coverage::coverage;
+    use crate::cluster::Clustering;
+    use crate::prevalence::Prevalence;
+    use crate::validation::cross_validate;
     use canvassing_crawler::{crawl, CrawlConfig, CrawlDataset, RetryPolicy};
     use canvassing_net::FaultMatrix;
     use canvassing_webgen::{SyntheticWeb, WebConfig};
@@ -219,9 +227,10 @@ mod tests {
         serde_json::to_string(&acc.finish(Cohort::Popular)).unwrap()
     }
 
-    /// The accumulator reproduces the batch `analyze_cohort` output
-    /// exactly, apart from `detections` holding only the fingerprinting
-    /// sites (compared here as a set against the batch projection).
+    /// The accumulator reproduces the batch slice helpers over the
+    /// materialized dataset exactly, apart from `detections` holding only
+    /// the fingerprinting sites (compared here as a set against the batch
+    /// projection).
     #[test]
     fn finish_matches_batch_analyze_cohort() {
         let (web, records, config) = record_pool();
@@ -233,13 +242,24 @@ mod tests {
             device_id: config.device.id.clone(),
             records: records.clone(),
         };
-        let batch = analyze_cohort(
-            Cohort::Popular,
-            &dataset,
-            &easylist,
-            &easyprivacy,
-            &disconnect,
-        );
+        let detections: Vec<SiteDetection> = dataset
+            .successful()
+            .map(|(_, visit)| detect(visit))
+            .collect();
+        let batch = CohortAnalysis {
+            cohort: Cohort::Popular,
+            attempted: dataset.records.len(),
+            clustering: Clustering::build(detections.iter()),
+            prevalence: Prevalence::compute(&detections, dataset.records.len()),
+            evasion: EvasionStats::compute(&detections),
+            coverage: coverage(&detections, &easylist, &easyprivacy, &disconnect),
+            failures: dataset.failure_breakdown(),
+            bias: BiasAccounting::compute(&dataset, &detections),
+            static_dynamic: cross_validate(&dataset, &detections),
+            perf: CrawlStats::default(),
+            bytecode: BytecodeTriageStats::default(),
+            detections,
+        };
         let refs: Vec<&SiteRecord> = records.iter().collect();
         let streamed = absorb_all(&refs, &web).finish(Cohort::Popular);
 

@@ -21,24 +21,26 @@
 //! * [`validation`] — cross-validation of the static AST classifier
 //!   (`canvassing-analysis`) against the dynamic detector: a per-cohort
 //!   confusion matrix over unique script bodies plus per-vendor rows;
-//! * [`accumulate`] — constant-memory streaming aggregation
-//!   ([`accumulate::CohortAccumulator`]): folds visit records into
-//!   cohort state one at a time, mergeable across frontier shards, so
-//!   million-site crawls never materialize a dataset;
+//! * [`accumulate`] — constant-memory aggregation
+//!   ([`accumulate::CohortAccumulator`]): the one fold that turns a
+//!   cohort's visit records into its analysis, one record at a time and
+//!   mergeable across frontier shards, so million-site crawls never
+//!   materialize a dataset;
 //! * [`study`] — the orchestrator that runs every crawl and produces all
-//!   tables and figures ([`study::run_study`],
-//!   [`study::run_study_streamed`] for the bounded-memory path, or
+//!   tables and figures ([`study::run_study_streamed`], which streams the
+//!   control crawls through the accumulator in bounded chunks, or
 //!   [`study::run_study_supervised`] for the crash-tolerant path that
 //!   runs both control crawls under the leased shard supervisor with
 //!   injected process faults and proves the results unchanged).
 //!
 //! ```no_run
-//! use canvassing::study::{run_study, StudyOptions};
+//! use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions};
 //! use canvassing_webgen::{SyntheticWeb, WebConfig};
 //!
 //! let web = SyntheticWeb::generate(WebConfig::paper_scale(2025));
-//! let results = run_study(&web, &StudyOptions::default());
+//! let results = run_study_streamed(&web, &StudyOptions::default(), &StreamingOptions::default())?;
 //! println!("{}", results.render_report());
+//! # Ok::<(), std::io::Error>(())
 //! ```
 //!
 //! Every crawl can also record a deterministic per-visit trace (spans,
@@ -87,8 +89,8 @@ pub use evasion::EvasionStats;
 pub use figures::Figure1;
 pub use prevalence::{Prevalence, PrevalenceAccumulator};
 pub use study::{
-    run_study, run_study_streamed, run_study_supervised, CohortAnalysis, StreamingOptions,
-    StudyOptions, StudyResults, SupervisionSummary,
+    run_study_streamed, run_study_supervised, CohortAnalysis, StreamingOptions, StudyOptions,
+    StudyResults, SupervisionSummary,
 };
 pub use validation::{
     cross_validate, vendor_static_rows, ConfusionMatrix, ScriptVotes, VendorStaticRow,

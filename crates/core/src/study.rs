@@ -5,9 +5,8 @@
 use canvassing_blocklist::{DisconnectList, FilterList};
 use canvassing_browser::AdBlockerKind;
 use canvassing_crawler::{
-    crawl, crawl_streamed_range_until, crawl_with_stats, shard_range, supervise_crawl, CrawlConfig,
-    CrawlDataset, CrawlStats, FailureKind, FaultScript, SegmentWriter, SupervisionReport,
-    SupervisorConfig,
+    crawl, crawl_streamed_range_until, supervise_crawl, CrawlConfig, CrawlStats, FailureKind,
+    FaultScript, SegmentWriter, SupervisionReport, SupervisorConfig,
 };
 use canvassing_raster::DeviceProfile;
 use canvassing_webgen::{Cohort, SyntheticWeb};
@@ -16,15 +15,15 @@ use serde::{Deserialize, Serialize};
 use crate::accumulate::CohortAccumulator;
 use crate::attribution::{attribute, gather_ground_truth, AttributionResult, AttributionSources};
 use crate::bias::BiasAccounting;
-use crate::blocklist_coverage::{coverage, CoverageCounts};
+use crate::blocklist_coverage::CoverageCounts;
 use crate::cluster::{Clustering, OverlapStats};
 use crate::detect::{detect, SiteDetection};
 use crate::evasion::EvasionStats;
 use crate::figures::Figure1;
 use crate::prevalence::Prevalence;
 use crate::validation::{
-    bytecode_triage, cross_validate, vendor_static_rows, verdict_label, BytecodeTriageStats,
-    ConfusionMatrix, VendorStaticRow,
+    bytecode_triage, vendor_static_rows, verdict_label, BytecodeTriageStats, ConfusionMatrix,
+    VendorStaticRow,
 };
 
 /// What to run beyond the control crawl. Every crawl a study runs
@@ -76,7 +75,8 @@ pub struct CohortAnalysis {
     pub cohort: Cohort,
     /// Sites attempted.
     pub attempted: usize,
-    /// Per-site detections (successful crawls only).
+    /// Per-site detections, fingerprinting sites only, in site order
+    /// (see [`CohortAccumulator`]).
     pub detections: Vec<SiteDetection>,
     /// Canvas clustering.
     pub clustering: Clustering,
@@ -95,47 +95,14 @@ pub struct CohortAnalysis {
     /// cohort's unique script bodies.
     pub static_dynamic: ConfusionMatrix,
     /// Crawl cache-efficiency counters (parse/memo hit rates). Zeroed
-    /// when the analysis was built from a dataset alone.
+    /// on the supervised path, whose re-work would perturb them.
     pub perf: CrawlStats,
     /// Second-engine (bytecode abstract interpretation) triage over the
     /// cohort's script corpus: AST-inconclusive bodies recovered, seeded
-    /// evasion recovery, verifier statistics. Zeroed when the analysis
-    /// was built from a dataset alone (no corpus to enumerate).
+    /// evasion recovery, verifier statistics. [`CohortAccumulator::finish`]
+    /// leaves it zeroed (a record stream has no corpus to enumerate); the
+    /// study runners fill it in.
     pub bytecode: BytecodeTriageStats,
-}
-
-/// Analyzes one crawl dataset into a cohort analysis.
-pub fn analyze_cohort(
-    cohort: Cohort,
-    dataset: &CrawlDataset,
-    easylist: &FilterList,
-    easyprivacy: &FilterList,
-    disconnect: &DisconnectList,
-) -> CohortAnalysis {
-    let detections: Vec<SiteDetection> = dataset
-        .successful()
-        .map(|(_, visit)| detect(visit))
-        .collect();
-    let clustering = Clustering::build(detections.iter());
-    let prevalence = Prevalence::compute(&detections, dataset.records.len());
-    let evasion = EvasionStats::compute(&detections);
-    let coverage = coverage(&detections, easylist, easyprivacy, disconnect);
-    let static_dynamic = cross_validate(dataset, &detections);
-    let bias = BiasAccounting::compute(dataset, &detections);
-    CohortAnalysis {
-        cohort,
-        attempted: dataset.records.len(),
-        detections,
-        clustering,
-        prevalence,
-        evasion,
-        coverage,
-        failures: dataset.failure_breakdown(),
-        bias,
-        static_dynamic,
-        perf: CrawlStats::default(),
-        bytecode: BytecodeTriageStats::default(),
-    }
 }
 
 /// One Table 2 row: a crawl configuration's canvas/site counts.
@@ -231,46 +198,6 @@ fn fingerprinting_sites(detections: &[SiteDetection]) -> usize {
     detections.iter().filter(|d| d.is_fingerprinting()).count()
 }
 
-/// Runs the full study against a synthetic web.
-pub fn run_study(web: &SyntheticWeb, options: &StudyOptions) -> StudyResults {
-    let easylist = FilterList::parse("EasyList", &web.lists.easylist);
-    let easyprivacy = FilterList::parse("EasyPrivacy", &web.lists.easyprivacy);
-    let disconnect = DisconnectList::parse(&web.lists.disconnect);
-
-    let popular_frontier = web.frontier(Cohort::Popular);
-    let tail_frontier = web.frontier(Cohort::Tail);
-
-    let mut control = CrawlConfig::control();
-    control.workers = options.workers;
-    if options.trace {
-        control.trace = Some(std::sync::Arc::new(canvassing_trace::CountingSink::new()));
-    }
-    let (popular_ds, popular_stats) = crawl_with_stats(&web.network, &popular_frontier, &control);
-    let (tail_ds, tail_stats) = crawl_with_stats(&web.network, &tail_frontier, &control);
-
-    let mut popular = analyze_cohort(
-        Cohort::Popular,
-        &popular_ds,
-        &easylist,
-        &easyprivacy,
-        &disconnect,
-    );
-    popular.perf = popular_stats;
-    let mut tail = analyze_cohort(Cohort::Tail, &tail_ds, &easylist, &easyprivacy, &disconnect);
-    tail.perf = tail_stats;
-    popular.bytecode = bytecode_triage(&web.network, &popular_frontier);
-    tail.bytecode = bytecode_triage(&web.network, &tail_frontier);
-
-    finish_study(
-        web,
-        options,
-        &popular_frontier,
-        &tail_frontier,
-        popular,
-        tail,
-    )
-}
-
 /// How [`run_study_streamed`] bounds memory and (optionally) spills.
 #[derive(Debug, Clone)]
 pub struct StreamingOptions {
@@ -281,12 +208,10 @@ pub struct StreamingOptions {
     /// Spill directory: when set, every control-crawl record is also
     /// appended to CRC-framed segment files under
     /// `<dir>/popular` / `<dir>/tail`, mergeable back into a full
-    /// dataset with [`canvassing_crawler::merge_segments`].
+    /// dataset with [`canvassing_crawler::merge_segments`]. To spread a
+    /// cohort over several processes, run
+    /// [`canvassing_crawler::crawl_shard_to_segments`] per shard instead.
     pub spill_dir: Option<std::path::PathBuf>,
-    /// Frontier shards per cohort, crawled one after another here (or by
-    /// N independent processes via
-    /// [`canvassing_crawler::crawl_shard_to_segments`]).
-    pub shards: usize,
 }
 
 impl Default for StreamingOptions {
@@ -295,28 +220,8 @@ impl Default for StreamingOptions {
             chunk_sites: 512,
             segment_sites: 4096,
             spill_dir: None,
-            shards: 1,
         }
     }
-}
-
-fn add_stats(into: &mut CrawlStats, from: &CrawlStats) {
-    into.sites += from.sites;
-    into.script_parses += from.script_parses;
-    into.script_compiles += from.script_compiles;
-    into.script_cache_hits += from.script_cache_hits;
-    into.script_executions += from.script_executions;
-    into.memo_hits += from.memo_hits;
-    into.memo_computes += from.memo_computes;
-    into.memo_bypasses += from.memo_bypasses;
-    into.static_analyses += from.static_analyses;
-    into.analysis_hits += from.analysis_hits;
-    into.trace_visits += from.trace_visits;
-    into.trace_spans += from.trace_spans;
-    into.trace_events += from.trace_events;
-    into.breaker_opens += from.breaker_opens;
-    into.breaker_short_circuits += from.breaker_short_circuits;
-    into.salvaged_visits += from.salvaged_visits;
 }
 
 /// Streams one cohort's control crawl through a [`CohortAccumulator`],
@@ -336,57 +241,48 @@ fn stream_cohort(
 ) -> std::io::Result<CohortAnalysis> {
     let caches = config.build_caches();
     let mut acc = CohortAccumulator::new();
-    let mut perf = CrawlStats::default();
-    let shards = streaming.shards.max(1);
-    let spill_dir = streaming.spill_dir.as_ref().map(|d| match cohort {
-        Cohort::Popular => d.join("popular"),
-        Cohort::Tail => d.join("tail"),
-    });
-    for shard in 0..shards {
-        let mut writer = match &spill_dir {
-            Some(dir) => Some(SegmentWriter::create(
-                dir,
-                &config.label,
-                &config.device.id,
-                shard,
-                streaming.segment_sites,
-            )?),
-            None => None,
-        };
-        let mut io_err: Option<std::io::Error> = None;
-        let stats = crawl_streamed_range_until(
-            &web.network,
-            frontier,
-            config,
-            &caches,
-            shard_range(frontier.len(), shard, shards),
-            streaming.chunk_sites,
-            |_, record| {
-                // Spill before absorbing: a record the segment files will
-                // never durably hold must not reach the accumulator either,
-                // or the streamed analysis and the spilled dataset diverge.
-                if let Some(w) = writer.as_mut() {
-                    if let Err(e) = w.append(&record) {
-                        io_err = Some(e);
-                        return std::ops::ControlFlow::Break(());
-                    }
+    let mut writer = match &streaming.spill_dir {
+        Some(dir) => Some(SegmentWriter::create(
+            &dir.join(cohort_dir(cohort)),
+            &config.label,
+            &config.device.id,
+            0,
+            streaming.segment_sites,
+        )?),
+        None => None,
+    };
+    let mut io_err: Option<std::io::Error> = None;
+    let perf = crawl_streamed_range_until(
+        &web.network,
+        frontier,
+        config,
+        &caches,
+        0..frontier.len(),
+        streaming.chunk_sites,
+        |_, record| {
+            // Spill before absorbing: a record the segment files will
+            // never durably hold must not reach the accumulator either,
+            // or the streamed analysis and the spilled dataset diverge.
+            if let Some(w) = writer.as_mut() {
+                if let Err(e) = w.append(&record) {
+                    io_err = Some(e);
+                    return std::ops::ControlFlow::Break(());
                 }
-                acc.absorb(&record, easylist, easyprivacy, disconnect);
-                std::ops::ControlFlow::Continue(())
-            },
-        );
-        if let Some(e) = io_err {
-            // Abort, don't limp: drop the unsealed partial segment so the
-            // spill directory holds only complete, sealed segments.
-            if let Some(w) = writer {
-                w.abort().ok();
             }
-            return Err(e);
-        }
+            acc.absorb(&record, easylist, easyprivacy, disconnect);
+            std::ops::ControlFlow::Continue(())
+        },
+    );
+    if let Some(e) = io_err {
+        // Abort, don't limp: drop the unsealed partial segment so the
+        // spill directory holds only complete, sealed segments.
         if let Some(w) = writer {
-            w.finish()?;
+            w.abort().ok();
         }
-        add_stats(&mut perf, &stats);
+        return Err(e);
+    }
+    if let Some(w) = writer {
+        w.finish()?;
     }
     let mut analysis = acc.finish(cohort);
     analysis.perf = perf;
@@ -394,17 +290,25 @@ fn stream_cohort(
     Ok(analysis)
 }
 
-/// [`run_study`] on the constant-memory path: the two control crawls
+/// The per-cohort subdirectory of a spill directory.
+fn cohort_dir(cohort: Cohort) -> &'static str {
+    match cohort {
+        Cohort::Popular => "popular",
+        Cohort::Tail => "tail",
+    }
+}
+
+/// Runs the full study against a synthetic web. The two control crawls
 /// stream through [`CohortAccumulator`]s in bounded chunks (optionally
-/// spilling to segment files) instead of materializing datasets.
+/// spilling to segment files), so no cohort's visits are ever held in
+/// memory at once; the optional re-crawls (Table 2, M1 validation, E13)
+/// run [`crawl`] and keep only their detections.
 ///
-/// The rendered report is byte-identical to [`run_study`]'s — the
-/// accumulator folds are exact, and the only [`StudyResults`] field that
-/// differs is `detections`, which the streamed path projects down to
-/// fingerprinting sites (everything the report and downstream analyses
-/// read is preserved; `tests/streaming_equivalence.rs` gates the bytes).
-/// Errors only on spill I/O; with `spill_dir: None` it is infallible in
-/// practice.
+/// The accumulator folds are exact: `CohortAnalysis::detections` keeps
+/// fingerprinting sites only, and everything the report and downstream
+/// analyses read is preserved (`tests/golden_report.rs` and
+/// `tests/streaming_equivalence.rs` pin the rendered bytes). Errors only
+/// on spill I/O; with `spill_dir: None` it is infallible in practice.
 pub fn run_study_streamed(
     web: &SyntheticWeb,
     options: &StudyOptions,
@@ -463,19 +367,20 @@ pub struct SupervisionSummary {
     pub tail: SupervisionReport,
 }
 
-/// [`run_study`] on the crash-tolerant path: both control crawls run
-/// under the shard supervisor ([`supervise_crawl`]) with `faults`
-/// injected, spilling leased, epoch-qualified segments under
-/// `<dir>/popular` / `<dir>/tail`, then merging duplicate-safely.
+/// The study on the crash-tolerant path: both control crawls run under
+/// the shard supervisor ([`supervise_crawl`]) with `faults` injected,
+/// spilling leased, epoch-qualified segments under `<dir>/popular` /
+/// `<dir>/tail`, then merging duplicate-safely; each merged dataset is
+/// folded through a [`CohortAccumulator`] like a streamed crawl.
 ///
-/// The [`StudyResults`] are byte-identical to [`run_study`]'s for ANY
-/// fault script — crashes, stalls, duplicate launches, and speculation
-/// never show up in the science — with two deliberate exceptions, both
-/// perf-only: `popular.perf`/`tail.perf` stay zeroed (supervised re-work
-/// would otherwise perturb cache counters by the fault script), and
-/// crawl traces are not recorded (supervision instants go to
-/// [`SupervisorConfig::trace`] instead). `tests/supervisor_chaos.rs`
-/// gates the faults-vs-none identity.
+/// The [`StudyResults`] are byte-identical to [`run_study_streamed`]'s
+/// for ANY fault script — crashes, stalls, duplicate launches, and
+/// speculation never show up in the science — with two deliberate
+/// exceptions, both perf-only: `popular.perf`/`tail.perf` stay zeroed
+/// (supervised re-work would otherwise perturb cache counters by the
+/// fault script), and crawl traces are not recorded (supervision
+/// instants go to [`SupervisorConfig::trace`] instead).
+/// `tests/supervisor_chaos.rs` gates the faults-vs-none identity.
 pub fn run_study_supervised(
     web: &SyntheticWeb,
     options: &StudyOptions,
@@ -493,33 +398,25 @@ pub fn run_study_supervised(
     let mut control = CrawlConfig::control();
     control.workers = options.workers;
 
-    let (popular_ds, popular_sup) = supervise_crawl(
-        &web.network,
-        &popular_frontier,
-        &control,
-        &dir.join("popular"),
-        sup,
-        faults,
-    )?;
-    let (tail_ds, tail_sup) = supervise_crawl(
-        &web.network,
-        &tail_frontier,
-        &control,
-        &dir.join("tail"),
-        sup,
-        faults,
-    )?;
-
-    let mut popular = analyze_cohort(
-        Cohort::Popular,
-        &popular_ds,
-        &easylist,
-        &easyprivacy,
-        &disconnect,
-    );
-    let mut tail = analyze_cohort(Cohort::Tail, &tail_ds, &easylist, &easyprivacy, &disconnect);
-    popular.bytecode = bytecode_triage(&web.network, &popular_frontier);
-    tail.bytecode = bytecode_triage(&web.network, &tail_frontier);
+    let analyze = |cohort: Cohort, frontier: &[canvassing_net::Url]| -> std::io::Result<_> {
+        let (dataset, report) = supervise_crawl(
+            &web.network,
+            frontier,
+            &control,
+            &dir.join(cohort_dir(cohort)),
+            sup,
+            faults,
+        )?;
+        let mut acc = CohortAccumulator::new();
+        for record in &dataset.records {
+            acc.absorb(record, &easylist, &easyprivacy, &disconnect);
+        }
+        let mut analysis = acc.finish(cohort);
+        analysis.bytecode = bytecode_triage(&web.network, frontier);
+        Ok((analysis, report))
+    };
+    let (popular, popular_sup) = analyze(Cohort::Popular, &popular_frontier)?;
+    let (tail, tail_sup) = analyze(Cohort::Tail, &tail_frontier)?;
 
     let results = finish_study(
         web,
@@ -540,8 +437,8 @@ pub fn run_study_supervised(
 
 /// Everything downstream of the two control-cohort analyses: figures,
 /// attribution, the optional re-crawl experiments, and assembly. Shared
-/// verbatim by [`run_study`] and [`run_study_streamed`] so the two paths
-/// cannot drift.
+/// verbatim by [`run_study_streamed`] and [`run_study_supervised`] so the
+/// two paths cannot drift.
 fn finish_study(
     web: &SyntheticWeb,
     options: &StudyOptions,
@@ -1034,7 +931,8 @@ impl StudyResults {
     }
 
     /// Serializes the full results as JSON (for downstream analysis and
-    /// plotting).
+    /// plotting). Each cohort's `detections` lists fingerprinting sites
+    /// only.
     pub fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string_pretty(self)
     }
@@ -1054,7 +952,7 @@ mod tests {
             seed: 99,
             scale: 0.02,
         });
-        let results = run_study(
+        let results = run_study_streamed(
             &web,
             &StudyOptions {
                 workers: 4,
@@ -1064,7 +962,9 @@ mod tests {
                 trace: true,
                 serving: true,
             },
-        );
+            &StreamingOptions::default(),
+        )
+        .unwrap();
 
         // Prevalence in the right ballpark (targets: 12.7% / 9.9%).
         let p_rate = results.popular.prevalence.fingerprinting_rate();
@@ -1229,7 +1129,7 @@ mod defense_sweep_tests {
             seed: 31,
             scale: 0.02,
         });
-        let results = run_study(
+        let results = run_study_streamed(
             &web,
             &StudyOptions {
                 workers: 4,
@@ -1239,7 +1139,9 @@ mod defense_sweep_tests {
                 trace: false,
                 serving: false,
             },
-        );
+            &StreamingOptions::default(),
+        )
+        .unwrap();
         assert_eq!(results.defense_sweep.len(), 4);
         let by_label = |label: &str| {
             results

@@ -109,8 +109,8 @@ impl ConfusionMatrix {
 /// static triage verdict versus whether the dynamic detector attributed a
 /// fingerprintable canvas to that script's URL on any visit.
 ///
-/// `detections` must be in [`CrawlDataset::successful`] order (as
-/// produced by `analyze_cohort`). Scripts whose body was never fetched
+/// `detections` must be in [`CrawlDataset::successful`] order, one per
+/// successful visit. Scripts whose body was never fetched
 /// carry no verdict and are skipped — neither detector saw them.
 pub fn cross_validate(dataset: &CrawlDataset, detections: &[SiteDetection]) -> ConfusionMatrix {
     let mut votes = ScriptVotes::default();

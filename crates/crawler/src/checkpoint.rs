@@ -1,10 +1,15 @@
-//! Crash-consistent checkpoints (v2).
+//! Checkpoints (v2) that survive process crashes.
 //!
 //! PR 1's checkpoint story was in-memory only: [`crate::resume_crawl`]
 //! merges against a [`CrawlDataset`] the caller kept alive. This module
-//! adds the durable half, built to survive the one failure mode that
-//! actually corrupts append-only logs in practice: the **torn write** — a
-//! crash mid-`write(2)` leaving a partial record at the tail.
+//! adds the on-disk half, built to survive the one failure mode that
+//! actually corrupts append-only logs when a process dies: the **torn
+//! write** — a crash mid-`write(2)` leaving a partial record at the tail.
+//!
+//! The guarantee covers process death only. Nothing here calls `fsync`
+//! on a file or its directory, so power loss or a kernel crash can still
+//! drop records the writer already reported as appended, or undo a
+//! [`save_atomic`] rename.
 //!
 //! Format (line-oriented, append-only):
 //!
@@ -26,8 +31,8 @@
 //!
 //! Torn writes are injectable ([`Fault::TornWrite`]) at this layer, not
 //! the network: the writer flushes a prefix of the line and fails, exactly
-//! once per poisoned host, so tests and the `chaos` bin can place a crash
-//! at any record boundary deterministically.
+//! once per poisoned host, so tests (`tests/checkpoint_recovery.rs`) can
+//! place a crash at any record boundary deterministically.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -282,8 +287,9 @@ fn parse_record_line(line: &str) -> Option<SiteRecord> {
 }
 
 /// Writes a complete dataset as a checkpoint via write-temp-then-rename,
-/// so a crash anywhere leaves either the old file or the new one — never
-/// a hybrid.
+/// so a process crash anywhere leaves either the old file or the new one
+/// — never a hybrid. Without `fsync`, power loss can still lose the
+/// rename or the new file's contents.
 pub fn save_atomic(path: &Path, dataset: &CrawlDataset) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {

@@ -6,13 +6,16 @@
 //! extension, optional canvas defense), every site visited once, failures
 //! recorded rather than retried away.
 //!
-//! Work distribution is a shared-queue scheduler: one atomic cursor over
-//! the visit list that every worker claims jobs from (lock-free work
-//! sharing), so a latency-spiked host delays only the worker that is on
-//! it — the rest of the fleet drains the remaining frontier. Results are
-//! reassembled in frontier order, and each [`SiteRecord`] is a pure
-//! function of `(network, url, config)`, so datasets are byte-identical
-//! regardless of scheduling or worker count. Workers share a
+//! Every crawl runs through one loop, [`crawl_streamed_range_until`]: it
+//! cuts a frontier range into chunks and hands each chunk to a
+//! shared-queue scheduler, one atomic cursor that every worker claims
+//! jobs from (lock-free work sharing), so a latency-spiked host delays
+//! only the worker that is on it — the rest of the fleet drains the
+//! remaining chunk. Records reach the caller's sink in frontier order;
+//! [`crawl`] collects them into a [`CrawlDataset`], streaming callers
+//! fold them as they arrive. Each [`SiteRecord`] is a pure function of
+//! `(network, url, config)`, so datasets are byte-identical regardless
+//! of scheduling, chunk size or worker count. Workers share a
 //! [`CrawlCaches`] (compiled-script cache + render memo, see
 //! [`CachingPolicy`]); caching preserves byte-identity by construction
 //! and is reported through [`CrawlStats`]. Robustness features on top of
@@ -29,8 +32,9 @@
 //! * **Checkpoint/resume** — [`resume_crawl`] skips sites already present
 //!   in a partial dataset and merges to the exact dataset a single
 //!   uninterrupted crawl would have produced; the [`checkpoint`] module
-//!   adds the durable, crash-consistent on-disk form (CRC-framed records,
-//!   torn-write recovery, atomic snapshots).
+//!   adds the on-disk form (CRC-framed records, torn-write recovery,
+//!   atomic snapshots), which survives process death but not power loss:
+//!   no write path calls `fsync`.
 //! * **Circuit breakers** — opt-in per-host breakers ([`BreakerPolicy`])
 //!   short-circuit visits to hosts that keep failing; state is planned
 //!   deterministically ([`BreakerPlan`]) so the dataset stays
@@ -50,6 +54,7 @@ pub mod segment;
 pub mod supervisor;
 
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -139,31 +144,24 @@ impl RetryPolicy {
     }
 }
 
-/// Which cross-visit cache layers a crawl uses. All layers preserve the
-/// byte-identical dataset guarantee (recycled buffers are zeroed; memo
-/// replay is exact record relocation; parsing is referentially
+/// Whether a crawl uses the cross-visit cache layers: the shared
+/// compiled-script cache (each unique body is lexed/parsed once per
+/// crawl), the shared render memo (each unique body × device renders
+/// once; replays bypass active defenses), and a per-worker canvas
+/// pixel-buffer pool. The layers switch together. All of them preserve
+/// the byte-identical dataset guarantee (recycled buffers are zeroed;
+/// memo replay is exact record relocation; parsing is referentially
 /// transparent), so this is purely a throughput knob — `disabled()`
 /// exists for baselines and A/B determinism tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CachingPolicy {
-    /// Share one compiled-script cache across workers (each unique script
-    /// body is lexed/parsed once per crawl).
-    pub script_cache: bool,
-    /// Share one render memo across workers (each unique script body ×
-    /// device renders once per crawl; replays bypass active defenses).
-    pub render_memo: bool,
-    /// Give each worker a canvas pixel-buffer recycling pool.
-    pub surface_pool: bool,
+    enabled: bool,
 }
 
 impl Default for CachingPolicy {
     /// Everything on — the production configuration.
     fn default() -> CachingPolicy {
-        CachingPolicy {
-            script_cache: true,
-            render_memo: true,
-            surface_pool: true,
-        }
+        CachingPolicy { enabled: true }
     }
 }
 
@@ -171,11 +169,7 @@ impl CachingPolicy {
     /// No caching: every visit lexes, parses, renders, and allocates from
     /// scratch (the pre-cache baseline).
     pub fn disabled() -> CachingPolicy {
-        CachingPolicy {
-            script_cache: false,
-            render_memo: false,
-            surface_pool: false,
-        }
+        CachingPolicy { enabled: false }
     }
 }
 
@@ -283,15 +277,10 @@ impl CrawlConfig {
     /// (see [`CrawlConfig::worker_caches`]) so workers recycle without
     /// contending.
     pub fn build_caches(&self) -> CrawlCaches {
+        let enabled = self.caching.enabled;
         CrawlCaches {
-            scripts: self
-                .caching
-                .script_cache
-                .then(|| Arc::new(ScriptCache::new())),
-            memo: self
-                .caching
-                .render_memo
-                .then(|| Arc::new(RenderMemo::new())),
+            scripts: enabled.then(|| Arc::new(ScriptCache::new())),
+            memo: enabled.then(|| Arc::new(RenderMemo::new())),
             pool: None,
             // Static triage is always on — it is part of the recorded
             // dataset, not a cache layer, so `CachingPolicy` cannot turn
@@ -306,10 +295,7 @@ impl CrawlConfig {
     /// enabled) a private buffer pool.
     fn worker_caches(&self, shared: &CrawlCaches) -> CrawlCaches {
         let mut caches = shared.clone();
-        caches.pool = self
-            .caching
-            .surface_pool
-            .then(|| Arc::new(SurfacePool::new()));
+        caches.pool = self.caching.enabled.then(|| Arc::new(SurfacePool::new()));
         caches
     }
 }
@@ -564,70 +550,44 @@ pub fn crawl_with_stats(
 }
 
 /// Crawls with caller-owned caches, so repeated crawls over overlapping
-/// workloads (re-crawls, ablations, warm benchmark passes) skip work the
-/// caches already hold. The returned stats cover only this crawl's span.
+/// workloads (re-crawls, warm benchmark passes) skip work the caches
+/// already hold. The returned stats cover only this crawl's span.
+///
+/// This is [`crawl_streamed_range_until`] over the whole frontier as one
+/// chunk, with a sink that collects the records.
 pub fn crawl_with_caches(
     network: &Network,
     frontier: &[Url],
     config: &CrawlConfig,
     caches: &CrawlCaches,
 ) -> (CrawlDataset, CrawlStats) {
-    let before = CrawlStats::snapshot(caches);
-    let plan = BreakerPlan::plan(network, frontier, config);
-    let (slots, traces) = crawl_subset(network, frontier, config, None, caches, plan.as_ref());
-    let mut stats = CrawlStats::snapshot(caches).since(&before);
-    stats.sites = frontier.len() as u64;
-    (stats.trace_visits, stats.trace_spans, stats.trace_events) = flush_traces(config, traces);
-    if let Some(plan) = &plan {
-        stats.breaker_opens = plan.total_opens();
-        stats.breaker_short_circuits = plan.total_short_circuits();
-    }
-    let dataset = CrawlDataset::from_slots(config, slots);
-    stats.salvaged_visits = dataset.salvaged().count() as u64;
-    (dataset, stats)
-}
-
-/// Crawls only the frontier indices in `subset` (all of them when `None`);
-/// records for skipped indices are left empty. Shared engine for
-/// [`crawl`] and [`resume_crawl`].
-///
-/// Scheduling is one atomic cursor over the job list: each worker claims
-/// the next unclaimed job with a single `fetch_add`. Unlike static
-/// sharding, a host serving under a latency-spike fault stalls only the
-/// worker currently on it while the rest drain the remaining frontier;
-/// unlike a channel feed, claiming is wait-free and results land
-/// lock-free in per-site slots (no cross-thread transport).
-/// Scheduling freedom never reaches the dataset because every record is a
-/// pure per-site function, reassembled in frontier order below.
-fn crawl_subset(
-    network: &Network,
-    frontier: &[Url],
-    config: &CrawlConfig,
-    subset: Option<&[usize]>,
-    caches: &CrawlCaches,
-    plan: Option<&BreakerPlan>,
-) -> (Vec<Option<SiteRecord>>, Vec<Option<VisitTrace>>) {
-    let jobs: Vec<usize> = match subset {
-        Some(indices) => indices.to_vec(),
-        None => (0..frontier.len()).collect(),
+    let mut records = Vec::with_capacity(frontier.len());
+    let stats = crawl_streamed_range_until(
+        network,
+        frontier,
+        config,
+        caches,
+        0..frontier.len(),
+        frontier.len(),
+        |_, record| {
+            records.push(record);
+            ControlFlow::Continue(())
+        },
+    );
+    let dataset = CrawlDataset {
+        label: config.label.clone(),
+        device_id: config.device.id.clone(),
+        records,
     };
-    let (chunk_records, chunk_traces) = crawl_chunk(network, frontier, config, &jobs, caches, plan);
-    // Scatter the dense chunk results back into frontier-indexed slots;
-    // skipped indices stay empty.
-    let mut records: Vec<Option<SiteRecord>> = (0..frontier.len()).map(|_| None).collect();
-    let mut traces: Vec<Option<VisitTrace>> = (0..frontier.len()).map(|_| None).collect();
-    for ((&i, record), trace) in jobs.iter().zip(chunk_records).zip(chunk_traces) {
-        records[i] = Some(record);
-        traces[i] = trace;
-    }
-    (records, traces)
+    (dataset, stats)
 }
 
 /// Crawls exactly the frontier indices in `indices`, returning results
 /// **densely** (position `j` holds the record for `frontier[indices[j]]`).
-/// This is the memory-bounded scheduler core: slot storage is sized to
-/// the chunk, not the frontier, so [`crawl_streamed`] can drive a
-/// million-site frontier through fixed-size chunks.
+/// This is the scheduler core under every crawl entry point: slot
+/// storage is sized to the chunk, not the frontier, so
+/// [`crawl_streamed_range_until`] can drive a million-site frontier
+/// through fixed-size chunks.
 ///
 /// Scheduling is one atomic cursor over the chunk: each worker claims
 /// the next unclaimed position with a single `fetch_add`. Unlike static
@@ -720,56 +680,32 @@ pub fn shard_range(len: usize, shard: usize, count: usize) -> std::ops::Range<us
 /// `chunk_sites`, delivering each record to `sink` as
 /// `(frontier_index, record)` in frontier order — records are **not**
 /// materialized into a dataset, so peak memory is O(chunk), independent
-/// of frontier length.
+/// of frontier length. This is the one crawl loop: [`crawl_with_caches`]
+/// runs it as a single chunk with a collecting sink, [`crawl_streamed`]
+/// over the whole frontier, [`crawl_shard_to_segments`] over one shard.
 ///
-/// Determinism contract, identical to [`crawl_with_caches`]:
-///
-/// * the breaker plan is computed over the **full** frontier, so chunk
-///   boundaries and shard choice never reach breaker state;
-/// * each record is a pure function of `(network, url, config)`, so the
-///   delivered stream is byte-identical to the records of a materialized
-///   crawl at any worker count;
-/// * traces flush to `config.trace` per chunk, in frontier order, from
-///   the calling thread — the sink sees the exact stream a whole-frontier
-///   crawl delivers.
-///
-/// The returned stats cover the range (`sites = range.len()`), with cache
-/// counters measured across the chunks as one span. Breaker totals are
-/// whole-plan numbers and are reported only when `range` covers the full
-/// frontier; per-shard callers should take them from the merged run
-/// instead of summing shards.
-pub fn crawl_streamed_range(
-    network: &Network,
-    frontier: &[Url],
-    config: &CrawlConfig,
-    caches: &CrawlCaches,
-    range: std::ops::Range<usize>,
-    chunk_sites: usize,
-    mut sink: impl FnMut(usize, SiteRecord),
-) -> CrawlStats {
-    crawl_streamed_range_until(
-        network,
-        frontier,
-        config,
-        caches,
-        range,
-        chunk_sites,
-        |index, record| {
-            sink(index, record);
-            std::ops::ControlFlow::Continue(())
-        },
-    )
-}
-
-/// [`crawl_streamed_range`] with an abortable sink: returning
-/// [`ControlFlow::Break`](std::ops::ControlFlow::Break) stops the crawl
+/// The sink can abort: returning [`ControlFlow::Break`] stops the crawl
 /// immediately — no further sites are visited, so a sink that can no
 /// longer persist records (a spill I/O error, a fenced lease) does not
 /// burn the rest of the range crawling into the void.
 ///
-/// `stats.sites` counts the records actually delivered to the sink; on
-/// an uninterrupted run that equals `range.len()`, exactly as
-/// [`crawl_streamed_range`] reports.
+/// Determinism contract:
+///
+/// * the breaker plan is computed over the **full** frontier, so chunk
+///   boundaries and shard choice never reach breaker state;
+/// * each record is a pure function of `(network, url, config)`, so the
+///   delivered stream is byte-identical at any worker count and chunk
+///   size;
+/// * traces flush to `config.trace` per chunk, in frontier order, from
+///   the calling thread — the sink sees the exact stream a whole-frontier
+///   crawl delivers.
+///
+/// The returned stats count the records actually delivered to the sink
+/// (`sites == range.len()` on an uninterrupted run), with cache counters
+/// measured across the chunks as one span. Breaker totals are whole-plan
+/// numbers and are reported only when `range` covers the full frontier;
+/// per-shard callers should take them from the merged run instead of
+/// summing shards.
 pub fn crawl_streamed_range_until(
     network: &Network,
     frontier: &[Url],
@@ -777,7 +713,7 @@ pub fn crawl_streamed_range_until(
     caches: &CrawlCaches,
     range: std::ops::Range<usize>,
     chunk_sites: usize,
-    mut sink: impl FnMut(usize, SiteRecord) -> std::ops::ControlFlow<()>,
+    mut sink: impl FnMut(usize, SiteRecord) -> ControlFlow<()>,
 ) -> CrawlStats {
     let before = CrawlStats::snapshot(caches);
     let plan = BreakerPlan::plan(network, frontier, config);
@@ -820,25 +756,28 @@ pub fn crawl_streamed_range_until(
     stats
 }
 
-/// [`crawl_streamed_range`] over the whole frontier: the drop-in
-/// streaming replacement for [`crawl_with_caches`] when the caller folds
-/// records instead of materializing a dataset.
+/// [`crawl_streamed_range_until`] over the whole frontier with a sink
+/// that never aborts: the streaming counterpart of [`crawl_with_caches`]
+/// when the caller folds records instead of materializing a dataset.
 pub fn crawl_streamed(
     network: &Network,
     frontier: &[Url],
     config: &CrawlConfig,
     caches: &CrawlCaches,
     chunk_sites: usize,
-    sink: impl FnMut(usize, SiteRecord),
+    mut sink: impl FnMut(usize, SiteRecord),
 ) -> CrawlStats {
-    crawl_streamed_range(
+    crawl_streamed_range_until(
         network,
         frontier,
         config,
         caches,
         0..frontier.len(),
         chunk_sites,
-        sink,
+        |index, record| {
+            sink(index, record);
+            ControlFlow::Continue(())
+        },
     )
 }
 
@@ -872,21 +811,12 @@ fn lost_record(url: &Url) -> SiteRecord {
     }
 }
 
-impl CrawlDataset {
-    fn from_slots(config: &CrawlConfig, slots: Vec<Option<SiteRecord>>) -> CrawlDataset {
-        CrawlDataset {
-            label: config.label.clone(),
-            device_id: config.device.id.clone(),
-            records: slots.into_iter().flatten().collect(),
-        }
-    }
-}
-
 /// Resumes a crawl from a checkpoint: sites already recorded in
 /// `checkpoint` are skipped, the rest are crawled, and the merged dataset
 /// comes back in frontier order. Because records are pure functions of
 /// `(url, config, network)`, the merge is byte-identical to the dataset a
-/// single uninterrupted [`crawl`] would have produced.
+/// single uninterrupted [`crawl`] would have produced, whatever order or
+/// subset of the frontier the checkpoint holds.
 pub fn resume_crawl(
     network: &Network,
     frontier: &[Url],
@@ -903,21 +833,23 @@ pub fn resume_crawl(
     // breaker state must be the same whether the crawl ran uninterrupted
     // or resumed — that is what keeps the merged dataset byte-identical.
     let plan = BreakerPlan::plan(network, frontier, config);
-    let (mut slots, traces) = crawl_subset(
-        network,
-        frontier,
-        config,
-        Some(&todo),
-        &caches,
-        plan.as_ref(),
-    );
+    let (fresh, traces) = crawl_chunk(network, frontier, config, &todo, &caches, plan.as_ref());
     let _ = flush_traces(config, traces);
-    for (i, slot) in slots.iter_mut().enumerate() {
-        if slot.is_none() {
-            *slot = Some((*done[&frontier[i]]).clone());
-        }
+    // `fresh` holds the todo sites in frontier order, so one walk over
+    // the frontier interleaves it with the checkpoint.
+    let mut fresh = fresh.into_iter();
+    let records = frontier
+        .iter()
+        .filter_map(|url| match done.get(url) {
+            Some(&record) => Some(record.clone()),
+            None => fresh.next(),
+        })
+        .collect();
+    CrawlDataset {
+        label: config.label.clone(),
+        device_id: config.device.id.clone(),
+        records,
     }
-    CrawlDataset::from_slots(config, slots)
 }
 
 /// One shard worker's crawl handle: a browser plus the shared caches and
@@ -1203,6 +1135,19 @@ mod tests {
             resumed.to_json().unwrap(),
             full.to_json().unwrap(),
             "resume must be byte-identical to the uninterrupted crawl"
+        );
+
+        // A checkpoint that is neither a prefix nor in frontier order:
+        // every other record, newest first.
+        let scattered = CrawlDataset {
+            records: full.records.iter().step_by(2).rev().cloned().collect(),
+            ..checkpoint
+        };
+        let resumed = resume_crawl(&network, &frontier, &config, &scattered);
+        assert_eq!(
+            resumed.to_json().unwrap(),
+            full.to_json().unwrap(),
+            "resume must not depend on the checkpoint's record order"
         );
     }
 

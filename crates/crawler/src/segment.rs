@@ -414,7 +414,8 @@ pub(crate) fn emit_spill_instant(
 /// On the first spill I/O error the streamed crawl aborts immediately —
 /// no further sites are visited — the unsealed partial segment is
 /// removed, and the error returns; sealed segments stay on disk and
-/// remain mergeable.
+/// remain mergeable. A `shard` outside `0..count` is refused with
+/// [`io::ErrorKind::InvalidInput`] before anything touches the disk.
 #[allow(clippy::too_many_arguments)]
 pub fn crawl_shard_to_segments(
     network: &Network,
@@ -426,6 +427,12 @@ pub fn crawl_shard_to_segments(
     segment_sites: usize,
     chunk_sites: usize,
 ) -> io::Result<Vec<PathBuf>> {
+    if shard >= count.max(1) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("shard {shard} out of range for {count} shards"),
+        ));
+    }
     let caches = config.build_caches();
     let mut writer =
         SegmentWriter::create(dir, &config.label, &config.device.id, shard, segment_sites)?;
@@ -644,6 +651,14 @@ mod tests {
         assert!(report.clean());
         assert_eq!(ds.records.len(), 10);
         fs::remove_dir_all(&dir).ok();
+
+        // An out-of-range shard is refused before the spill directory is
+        // created, instead of crawling past the end of the frontier.
+        let missing = dir.join("never-created");
+        let err = crawl_shard_to_segments(&web.network, &frontier, &config, &missing, 3, 2, 10, 5)
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!missing.exists(), "nothing touched the disk");
     }
 
     #[test]
@@ -705,12 +720,11 @@ mod tests {
         let mut writer = SegmentWriter::create(&dir, &config.label, &config.device.id, 0, 10)
             .unwrap()
             .with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>);
-        crate::crawl_streamed_range(
+        crate::crawl_streamed(
             &web.network,
             &frontier,
             &config,
             &caches,
-            0..frontier.len(),
             16,
             |_, record| writer.append(&record).unwrap(),
         );

@@ -66,8 +66,9 @@ use crate::segment::{emit_spill_instant, parse_supervised_name, SegmentWriter};
 use crate::{merge_segments, shard_range, BreakerPlan, CrawlConfig, MergeReport, SiteCrawler};
 
 /// One shard's ownership record, persisted as `shard{NNN}.lease` in the
-/// spill directory via write-temp-then-rename — a crash mid-write leaves
-/// either the old lease or the new one, never a torn hybrid.
+/// spill directory via write-temp-then-rename — a process crash
+/// mid-write leaves either the old lease or the new one, never a torn
+/// hybrid. Nothing is `fsync`ed, so power loss can roll a lease back.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Lease {
     /// Shard this lease covers.
@@ -107,7 +108,8 @@ pub fn read_lease(dir: &Path, shard: usize) -> io::Result<Option<Lease>> {
     }
 }
 
-/// Atomically replaces a shard's lease (write temp, then rename).
+/// Replaces a shard's lease (write temp, then rename): atomic against a
+/// process crash, not against power loss (no `fsync`).
 fn write_lease(dir: &Path, lease: &Lease) -> io::Result<()> {
     let path = lease_path(dir, lease.shard);
     let tmp = path.with_extension("lease.tmp");

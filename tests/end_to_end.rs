@@ -5,7 +5,7 @@
 // invariant is the correct outcome.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use canvassing::study::{run_study, StudyOptions};
+use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions};
 use canvassing_webgen::{SyntheticWeb, WebConfig};
 
 fn study() -> &'static canvassing::study::StudyResults {
@@ -15,7 +15,7 @@ fn study() -> &'static canvassing::study::StudyResults {
             seed: 7,
             scale: 0.05,
         });
-        run_study(
+        run_study_streamed(
             &web,
             &StudyOptions {
                 workers: 4,
@@ -25,7 +25,9 @@ fn study() -> &'static canvassing::study::StudyResults {
                 trace: false,
                 serving: false,
             },
+            &StreamingOptions::default(),
         )
+        .unwrap()
     })
 }
 

@@ -16,7 +16,7 @@
 // invariant is the correct outcome.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use canvassing::study::{run_study, StudyOptions};
+use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions};
 use canvassing_webgen::{SyntheticWeb, WebConfig};
 
 const GOLDEN_PATH: &str = concat!(
@@ -34,7 +34,7 @@ fn render_canonical() -> String {
         seed: 2025,
         scale: 0.1,
     });
-    let results = run_study(
+    let results = run_study_streamed(
         &web,
         &StudyOptions {
             workers: 4,
@@ -44,7 +44,9 @@ fn render_canonical() -> String {
             trace: true,
             serving: false,
         },
-    );
+        &StreamingOptions::default(),
+    )
+    .unwrap();
     results.render_report()
 }
 

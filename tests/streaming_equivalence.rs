@@ -1,18 +1,25 @@
-//! Streaming-path equivalence gates (PR 9).
+//! Streaming-path equivalence gates.
 //!
 //! The constant-memory pipeline — chunked scheduler, sharded segment
 //! spill, [`CohortAccumulator`]-based aggregation — must be *invisible*
-//! in the results: every record identical to the batch crawler's, every
-//! report byte identical to [`run_study`]'s, across worker counts, cache
+//! in the results: every record identical to a whole-frontier crawl's,
+//! and the spilled study report byte identical to the one the
+//! materializing batch runner rendered before it was retired
+//! (`tests/golden/report_scale_0.2.txt`), across worker counts, cache
 //! temperature, fault injection, and shard/segment geometry. These tests
-//! sweep that matrix at reduced scale; `canvassing-bench`'s `scale` bin
-//! re-runs the report gate at scale 1.0 under a peak-RSS cap.
+//! sweep that matrix at reduced scale.
+//!
+//! To regenerate the snapshot after an intentional change:
+//!
+//! ```text
+//! UPDATE_GOLDEN=1 cargo test --test streaming_equivalence
+//! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
 
-use canvassing::study::{run_study, run_study_streamed, StreamingOptions, StudyOptions};
+use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions};
 use canvassing_crawler::{
     crawl, crawl_shard_to_segments, crawl_streamed, crawl_with_caches, list_segments,
     merge_segments, CrawlConfig, CrawlDataset, RetryPolicy, SiteRecord,
@@ -53,11 +60,15 @@ fn records_json(records: &[SiteRecord]) -> String {
         .join("\n")
 }
 
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/report_scale_0.2.txt"
+);
+
 /// The tentpole gate: the full study — adblock re-crawls, M1
-/// validation, traced control crawls — renders byte-identical whether
-/// the control cohorts were materialized in memory or streamed through
-/// accumulators in 64-site chunks, sharded 3 ways, and spilled to
-/// 256-record segments.
+/// validation, traced control crawls — streamed through accumulators in
+/// 64-site chunks and spilled to 256-record segments renders exactly
+/// the committed snapshot, which the materializing batch runner wrote.
 #[test]
 fn streamed_study_report_is_byte_identical() {
     let web = SyntheticWeb::generate(WebConfig {
@@ -77,24 +88,27 @@ fn streamed_study_report_is_byte_identical() {
         chunk_sites: 64,
         segment_sites: 256,
         spill_dir: Some(spill.clone()),
-        shards: 3,
     };
 
-    let batch = run_study(&web, &options).render_report();
     let streamed = run_study_streamed(&web, &options, &streaming)
         .unwrap()
         .render_report();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(GOLDEN_PATH, &streamed).unwrap();
+    }
+    let golden = std::fs::read_to_string(GOLDEN_PATH)
+        .expect("golden snapshot missing — run with UPDATE_GOLDEN=1 to create it");
 
-    if batch != streamed {
-        let at = batch
+    if golden != streamed {
+        let at = golden
             .bytes()
             .zip(streamed.bytes())
             .position(|(a, b)| a != b)
-            .unwrap_or_else(|| batch.len().min(streamed.len()));
+            .unwrap_or_else(|| golden.len().min(streamed.len()));
         let lo = at.saturating_sub(120);
         panic!(
-            "streamed report diverges at byte {at}:\n--- batch ---\n{}\n--- streamed ---\n{}",
-            &batch[lo..(at + 120).min(batch.len())],
+            "streamed report diverges at byte {at}:\n--- golden ---\n{}\n--- streamed ---\n{}",
+            &golden[lo..(at + 120).min(golden.len())],
             &streamed[lo..(at + 120).min(streamed.len())],
         );
     }
@@ -108,7 +122,7 @@ fn streamed_study_report_is_byte_identical() {
     let segments = list_segments(&spill.join("popular")).unwrap();
     assert!(
         segments.len() >= 3,
-        "3 shards over {} sites at 256/segment should seal >=3 segments",
+        "{} sites at 256/segment should seal >=3 segments",
         frontier.len()
     );
     let (merged, report) =

@@ -16,7 +16,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use canvassing::study::{run_study, run_study_supervised, StudyOptions};
+use canvassing::study::{run_study_streamed, run_study_supervised, StreamingOptions, StudyOptions};
 use canvassing_crawler::{
     crawl, read_lease, shard_range, supervise_crawl, CrawlConfig, FaultScript, RetryPolicy,
     SpeculationPolicy, SupervisorConfig, WorkerFault,
@@ -396,8 +396,8 @@ fn lease_tmp_exists(dir: &std::path::Path, shard: usize) -> bool {
 }
 
 /// The study-level gate: the full pipeline run under supervision with
-/// injected faults renders the SAME report as the batch pipeline and as
-/// a fault-free supervised run — crash tolerance never shows up in the
+/// injected faults renders the SAME report as the streamed pipeline and
+/// as a fault-free supervised run — crash tolerance never shows up in the
 /// science.
 #[test]
 fn supervised_study_report_is_identical_across_fault_scripts() {
@@ -413,7 +413,7 @@ fn supervised_study_report_is_identical_across_fault_scripts() {
         trace: false,
         serving: false,
     };
-    let batch = run_study(&web, &options);
+    let streamed = run_study_streamed(&web, &options, &StreamingOptions::default()).unwrap();
 
     let clean_dir = tmp_dir("study-clean");
     let s = sup(3, 16);
@@ -433,19 +433,19 @@ fn supervised_study_report_is_identical_across_fault_scripts() {
 
     // Perf counters are zeroed on the supervised path by design; the
     // rendered report (which includes perf) must therefore be compared
-    // supervised-vs-supervised, and the science fields batch-vs-both.
+    // supervised-vs-supervised, and the science fields streamed-vs-both.
     assert_eq!(clean.render_report(), chaos.render_report());
     assert_eq!(
         serde_json::to_string(&clean.popular.detections).unwrap(),
-        serde_json::to_string(&batch.popular.detections).unwrap()
+        serde_json::to_string(&streamed.popular.detections).unwrap()
     );
     assert_eq!(
         serde_json::to_string(&clean.popular.prevalence).unwrap(),
-        serde_json::to_string(&batch.popular.prevalence).unwrap()
+        serde_json::to_string(&streamed.popular.prevalence).unwrap()
     );
     assert_eq!(
         serde_json::to_string(&chaos.tail.clustering).unwrap(),
-        serde_json::to_string(&batch.tail.clustering).unwrap()
+        serde_json::to_string(&streamed.tail.clustering).unwrap()
     );
     std::fs::remove_dir_all(&clean_dir).ok();
     std::fs::remove_dir_all(&chaos_dir).ok();
