@@ -284,10 +284,22 @@ fn stream_cohort(
     if let Some(w) = writer {
         w.finish()?;
     }
-    let mut analysis = acc.finish(cohort);
+    let mut analysis = finish_cohort(&acc, cohort, web, frontier);
     analysis.perf = perf;
-    analysis.bytecode = bytecode_triage(&web.network, frontier);
     Ok(analysis)
+}
+
+/// The tail of every control-cohort analysis, streamed or supervised:
+/// finishes the fold and adds the bytecode triage of the cohort's scripts.
+fn finish_cohort(
+    acc: &CohortAccumulator,
+    cohort: Cohort,
+    web: &SyntheticWeb,
+    frontier: &[canvassing_net::Url],
+) -> CohortAnalysis {
+    let mut analysis = acc.finish(cohort);
+    analysis.bytecode = bytecode_triage(&web.network, frontier);
+    analysis
 }
 
 /// The per-cohort subdirectory of a spill directory.
@@ -327,26 +339,20 @@ pub fn run_study_streamed(
         control.trace = Some(std::sync::Arc::new(canvassing_trace::CountingSink::new()));
     }
 
-    let popular = stream_cohort(
-        web,
-        Cohort::Popular,
-        &popular_frontier,
-        &control,
-        &easylist,
-        &easyprivacy,
-        &disconnect,
-        streaming,
-    )?;
-    let tail = stream_cohort(
-        web,
-        Cohort::Tail,
-        &tail_frontier,
-        &control,
-        &easylist,
-        &easyprivacy,
-        &disconnect,
-        streaming,
-    )?;
+    let analyze = |cohort: Cohort, frontier: &[canvassing_net::Url]| {
+        stream_cohort(
+            web,
+            cohort,
+            frontier,
+            &control,
+            &easylist,
+            &easyprivacy,
+            &disconnect,
+            streaming,
+        )
+    };
+    let popular = analyze(Cohort::Popular, &popular_frontier)?;
+    let tail = analyze(Cohort::Tail, &tail_frontier)?;
 
     Ok(finish_study(
         web,
@@ -411,9 +417,7 @@ pub fn run_study_supervised(
         for record in &dataset.records {
             acc.absorb(record, &easylist, &easyprivacy, &disconnect);
         }
-        let mut analysis = acc.finish(cohort);
-        analysis.bytecode = bytecode_triage(&web.network, frontier);
-        Ok((analysis, report))
+        Ok((finish_cohort(&acc, cohort, web, frontier), report))
     };
     let (popular, popular_sup) = analyze(Cohort::Popular, &popular_frontier)?;
     let (tail, tail_sup) = analyze(Cohort::Tail, &tail_frontier)?;

@@ -6,20 +6,23 @@
 //! extension, optional canvas defense), every site visited once, failures
 //! recorded rather than retried away.
 //!
-//! Every crawl runs through one loop, [`crawl_streamed_range_until`]: it
-//! cuts a frontier range into chunks and hands each chunk to a
-//! shared-queue scheduler, one atomic cursor that every worker claims
-//! jobs from (lock-free work sharing), so a latency-spiked host delays
-//! only the worker that is on it — the rest of the fleet drains the
-//! remaining chunk. Records reach the caller's sink in frontier order;
-//! [`crawl`] collects them into a [`CrawlDataset`], streaming callers
-//! fold them as they arrive. Each [`SiteRecord`] is a pure function of
-//! `(network, url, config)`, so datasets are byte-identical regardless
-//! of scheduling, chunk size or worker count. Workers share a
-//! [`CrawlCaches`] (compiled-script cache + render memo, see
-//! [`CachingPolicy`]); caching preserves byte-identity by construction
-//! and is reported through [`CrawlStats`]. Robustness features on top of
-//! that baseline:
+//! Every contiguous-range crawl runs through one loop,
+//! [`crawl_streamed_range_until`]: it cuts a frontier range into chunks
+//! and hands each chunk to a shared-queue scheduler, one atomic cursor
+//! that every worker claims jobs from (lock-free work sharing), so a
+//! latency-spiked host delays only the worker that is on it — the rest of
+//! the fleet drains the remaining chunk. Records reach the caller's sink
+//! in frontier order; [`crawl`] collects them into a [`CrawlDataset`],
+//! streaming callers fold them as they arrive. Two paths visit sites
+//! outside that loop: [`resume_crawl`] hands its non-contiguous todo
+//! indices straight to the chunk scheduler, and the shard supervisor
+//! visits one site at a time through [`SiteCrawler`]. Each
+//! [`SiteRecord`] is a pure function of `(network, url, config)`, so
+//! datasets are byte-identical regardless of scheduling, chunk size or
+//! worker count. Workers share a [`CrawlCaches`] (compiled-script cache
+//! and render memo, see [`CachingPolicy`]); caching preserves
+//! byte-identity by construction and is reported through [`CrawlStats`].
+//! Robustness features on top of that baseline:
 //!
 //! * **Typed failures** — every failed site carries a
 //!   [`FailureKind`] instead of a free-form string, so analyses can build
@@ -680,9 +683,10 @@ pub fn shard_range(len: usize, shard: usize, count: usize) -> std::ops::Range<us
 /// `chunk_sites`, delivering each record to `sink` as
 /// `(frontier_index, record)` in frontier order — records are **not**
 /// materialized into a dataset, so peak memory is O(chunk), independent
-/// of frontier length. This is the one crawl loop: [`crawl_with_caches`]
-/// runs it as a single chunk with a collecting sink, [`crawl_streamed`]
-/// over the whole frontier, [`crawl_shard_to_segments`] over one shard.
+/// of frontier length. This is the one contiguous-range crawl loop:
+/// [`crawl_with_caches`] runs it as a single chunk with a collecting
+/// sink, [`crawl_streamed`] over the whole frontier,
+/// [`crawl_shard_to_segments`] over one shard.
 ///
 /// The sink can abort: returning [`ControlFlow::Break`] stops the crawl
 /// immediately — no further sites are visited, so a sink that can no
