@@ -164,7 +164,7 @@ pub fn all_vendors() -> &'static [Vendor] {
                 known_customer: false,
                 script_pattern: true,
             },
-            url_pattern: None, // identified by regex over first-party URLs
+            url_pattern: None, // identified by its first-party URL path shape
             serving_host: None,
             double_render: false,
             canvas_count: 1,
@@ -297,9 +297,6 @@ pub fn vendor(id: VendorId) -> &'static Vendor {
     let vendors = all_vendors();
     vendors.iter().find(|v| v.id == id).unwrap_or(&vendors[0])
 }
-
-/// The Imperva customer-identification regex from Table 3.
-pub const IMPERVA_URL_REGEX: &str = r"https?://(?:www\.)?[^/]+/([A-Za-z\-]+)";
 
 #[cfg(test)]
 mod tests {

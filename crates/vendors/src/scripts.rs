@@ -239,7 +239,7 @@ let stable = l1 == l2;
 "##;
 
 /// Imperva: the canvas embeds the per-site token, making every deployment
-/// unique; customers are found by the Table 3 URL regex instead.
+/// unique; customers are found by the Table 3 URL pattern instead.
 fn imperva(site_token: &str) -> String {
     format!(
         r##"// incapsula device intelligence
