@@ -58,54 +58,6 @@ proptest! {
         }
     }
 
-    /// Shard invalidation property (hot-reload correctness): after any
-    /// interleaving of lookups and shard invalidations, a lookup never
-    /// answers from an entry computed under a stale epoch. The cache is
-    /// checked against a shadow model tracking each body's last analysis
-    /// epoch and each shard's floor: `peek` hits exactly when the model
-    /// says the entry is valid, and `analyze_at` re-analyzes exactly when
-    /// it says the entry is stale or missing.
-    #[test]
-    fn invalidation_never_serves_stale_epochs(
-        ops in proptest::collection::vec((0usize..3, 0usize..8, 0usize..4), 1..64)
-    ) {
-        let cache = AnalysisCache::new();
-        let mut model_epoch: std::collections::HashMap<usize, u64> = Default::default();
-        let mut floors = [0u64; SHARD_COUNT];
-        let mut epoch = 0u64;
-        for &(op, pick, shard_step) in &ops {
-            let src = body(pick);
-            let shard = shard_of(source_hash(&src));
-            match op {
-                0 => {
-                    // Full lookup at the current epoch: must re-analyze
-                    // iff the model says the entry is stale or missing.
-                    let before = cache.stats().analyses;
-                    cache.analyze_at(&src, None, epoch);
-                    let analyzed = cache.stats().analyses > before;
-                    let model_valid =
-                        model_epoch.get(&pick).is_some_and(|e| *e >= floors[shard]);
-                    prop_assert_eq!(analyzed, !model_valid);
-                    model_epoch.insert(pick, epoch);
-                }
-                1 => {
-                    // Reload: raise some shard's floor to a new epoch.
-                    epoch += 1;
-                    let target = (shard + shard_step) % SHARD_COUNT;
-                    cache.invalidate_shards([target], epoch);
-                    floors[target] = floors[target].max(epoch);
-                }
-                _ => {
-                    // Peek: hits exactly the model-valid entries.
-                    let hit = cache.peek(&src).is_some();
-                    let model_valid =
-                        model_epoch.get(&pick).is_some_and(|e| *e >= floors[shard]);
-                    prop_assert_eq!(hit, model_valid);
-                }
-            }
-        }
-    }
-
     /// Traced analysis returns the same verdicts and its hit/analyze
     /// counters partition the lookups.
     #[test]
@@ -126,6 +78,74 @@ proptest! {
         prop_assert_eq!(hits + analyses, picks.len() as u64);
         prop_assert_eq!(analyses, distinct.len() as u64);
     }
+}
+
+/// Small deterministic LCG (Knuth MMIX constants, as in the other seeded
+/// sweeps) so each case replays exactly from its seed.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % bound as u64) as usize
+    }
+}
+
+/// Shard invalidation property (hot-reload correctness): after any
+/// interleaving of lookups and shard invalidations, a lookup never
+/// answers from an entry computed under a stale epoch. The cache is
+/// checked against a shadow model tracking each body's last analysis
+/// epoch and each shard's floor: `peek` hits exactly when the model
+/// says the entry is valid, and `analyze_at` re-analyzes exactly when
+/// it says the entry is stale or missing. 256 seeded cases of 1–64 ops.
+#[test]
+fn invalidation_never_serves_stale_epochs() {
+    let mut stale_refreshes = 0usize;
+    for seed in 0..256u64 {
+        let mut rng = Lcg(seed ^ 0x9e3779b97f4a7c15);
+        let cache = AnalysisCache::new();
+        let mut model_epoch: std::collections::HashMap<usize, u64> = Default::default();
+        let mut floors = [0u64; SHARD_COUNT];
+        let mut epoch = 0u64;
+        for _ in 0..1 + rng.below(64) {
+            let (op, pick, shard_step) = (rng.below(3), rng.below(8), rng.below(4));
+            let src = body(pick);
+            let shard = shard_of(source_hash(&src));
+            match op {
+                0 => {
+                    // Full lookup at the current epoch: must re-analyze
+                    // iff the model says the entry is stale or missing.
+                    let before = cache.stats().analyses;
+                    cache.analyze_at(&src, None, epoch);
+                    let analyzed = cache.stats().analyses > before;
+                    let model_valid = model_epoch.get(&pick).is_some_and(|e| *e >= floors[shard]);
+                    assert_eq!(analyzed, !model_valid, "seed {seed}");
+                    stale_refreshes += (analyzed && model_epoch.contains_key(&pick)) as usize;
+                    model_epoch.insert(pick, epoch);
+                }
+                1 => {
+                    // Reload: raise some shard's floor to a new epoch.
+                    epoch += 1;
+                    let target = (shard + shard_step) % SHARD_COUNT;
+                    cache.invalidate_shards([target], epoch);
+                    floors[target] = floors[target].max(epoch);
+                }
+                _ => {
+                    // Peek: hits exactly the model-valid entries.
+                    let hit = cache.peek(&src).is_some();
+                    let model_valid = model_epoch.get(&pick).is_some_and(|e| *e >= floors[shard]);
+                    assert_eq!(hit, model_valid, "seed {seed}");
+                }
+            }
+        }
+    }
+    assert!(
+        stale_refreshes > 0,
+        "the sweep must exercise stale refreshes"
+    );
 }
 
 /// Seeded exhaustive form of the properties above (the offline proptest
@@ -165,11 +185,10 @@ fn cache_transparency_and_counters_seeded() {
     }
 }
 
-/// Seeded exhaustive twin of `invalidation_never_serves_stale_epochs`
-/// (the offline proptest stub does not sample): drives a long LCG-chosen
-/// interleaving of lookups, shard invalidations, and peeks against the
-/// same shadow model, so post-reload lookups provably never answer from
-/// a verdict computed under a stale blocklist epoch.
+/// Long-run twin of `invalidation_never_serves_stale_epochs`: one
+/// 600-op LCG-chosen interleaving of lookups, shard invalidations, and
+/// peeks against the same shadow model, so post-reload lookups provably
+/// never answer from a verdict computed under a stale blocklist epoch.
 #[test]
 fn invalidation_never_serves_stale_epochs_seeded() {
     let cache = AnalysisCache::new();

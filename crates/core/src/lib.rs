@@ -11,7 +11,7 @@
 //! * [`cluster`] — §4.2's grouping of sites by byte-identical canvases;
 //! * [`prevalence`] — §4.1's rates and per-site canvas distribution;
 //! * [`attribution`] — §4.3 / Appendix A.3's demo, known-customer, and
-//!   script-pattern attribution (including the Imperva per-site regex and
+//!   script-pattern attribution (including Imperva's per-site path and
 //!   the FingerprintJS open-source/commercial split);
 //! * [`blocklist_coverage`] — §5.1 / Table 4's adblockparser-style static
 //!   list coverage;

@@ -130,14 +130,13 @@ impl RetryPolicy {
     }
 
     /// Deterministic exponential backoff before retry number
-    /// `attempt + 1` (zero-based attempt that just failed): `base << attempt`,
-    /// capped.
+    /// `attempt + 1` (zero-based attempt that just failed): `base · 2^attempt`,
+    /// capped. A product past `u64` saturates to the cap (a plain shift
+    /// would drop the high bits).
     pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let shifted = self
-            .backoff_base_ms
-            .checked_shl(attempt)
-            .unwrap_or(self.backoff_cap_ms);
-        shifted.min(self.backoff_cap_ms)
+        1u64.checked_shl(attempt)
+            .and_then(|factor| self.backoff_base_ms.checked_mul(factor))
+            .map_or(self.backoff_cap_ms, |ms| ms.min(self.backoff_cap_ms))
     }
 
     /// Whether a failure of this kind is eligible for another attempt
@@ -1086,6 +1085,9 @@ mod tests {
         assert_eq!(*schedule.last().unwrap(), policy.backoff_cap_ms);
         // Absurd attempt numbers don't overflow.
         assert_eq!(policy.backoff_ms(200), policy.backoff_cap_ms);
+        // Nor do shifts that push the base's bits out of a u64 (250 << 63
+        // wraps to 0).
+        assert!((4..=255).all(|a| policy.backoff_ms(a) == policy.backoff_cap_ms));
     }
 
     #[test]

@@ -388,61 +388,12 @@ impl Network {
     /// `(url, config, network)` regardless of worker interleaving.
     pub fn fetch_attempt(&self, url: &Url, attempt: u32) -> Result<Response, FetchError> {
         let fault = self.faults.fault_for(&url.host);
-        match fault {
-            Some(Fault::Unreachable) => {
-                return Err(FetchError::Unreachable(url.host.clone()));
-            }
-            Some(Fault::TransientConnect { failures }) if attempt < failures => {
-                return Err(FetchError::Transient(url.host.clone()));
-            }
-            Some(Fault::DnsServFail { failures }) if attempt < failures => {
-                return Err(FetchError::Dns(DnsError::ServFail(url.host.clone())));
-            }
-            Some(Fault::DnsTimeout) => {
-                return Err(FetchError::Dns(DnsError::Timeout(url.host.clone())));
-            }
-            Some(Fault::Panic) => {
-                panic!("injected fault: panic fetching {url}");
-            }
-            _ => {}
+        if fault == Some(Fault::Panic) {
+            panic!("injected fault: panic fetching {url}");
         }
-        let resolution = self.dns.resolve(&url.host).map_err(FetchError::Dns)?;
-        if resolution.canonical != url.host {
-            match self.faults.fault_for(&resolution.canonical) {
-                Some(Fault::Unreachable) => {
-                    return Err(FetchError::Unreachable(resolution.canonical.clone()));
-                }
-                Some(Fault::TransientConnect { failures }) if attempt < failures => {
-                    return Err(FetchError::Transient(resolution.canonical.clone()));
-                }
-                _ => {}
-            }
-        }
-        let resource = self
-            .resources
-            .get(&(url.host.clone(), url.path.clone()))
-            .or_else(|| {
-                self.resources
-                    .get(&(resolution.canonical.clone(), url.path.clone()))
-            })
-            .ok_or_else(|| FetchError::NotFound(url.clone()))?;
-        let mut latency = latency_ms(&url.host);
-        let mut truncated = false;
-        match fault {
-            Some(Fault::LatencySpike { extra_ms }) => latency += extra_ms,
-            Some(Fault::SlowStart { extra_ms, attempts }) if attempt < attempts => {
-                latency += extra_ms;
-            }
-            Some(Fault::TruncateBody) => match resource {
-                // A cut-off document is unusable; a cut-off script arrives,
-                // but corrupted (the interpreter sees a parse error).
-                Resource::Page(_) => return Err(FetchError::Truncated(url.clone())),
-                Resource::Script(_) => truncated = true,
-            },
-            _ => {}
-        }
-        let mut resource = resource.clone();
-        if truncated {
+        let planned = self.plan_fetch(url, attempt, fault)?;
+        let mut resource = planned.resource.clone();
+        if planned.truncated {
             if let Resource::Script(s) = &mut resource {
                 let mut cut = s.source.len() / 2;
                 while cut > 0 && !s.source.is_char_boundary(cut) {
@@ -453,9 +404,9 @@ impl Network {
         }
         Ok(Response {
             resource,
-            latency_ms: latency,
-            resolution,
-            truncated,
+            latency_ms: planned.latency_ms,
+            resolution: planned.resolution,
+            truncated: planned.truncated,
         })
     }
 
@@ -470,8 +421,22 @@ impl Network {
     /// `(network, frontier, policy)` rather than of the worker schedule.
     pub fn probe(&self, url: &Url, attempt: u32) -> Result<u64, FetchError> {
         let fault = self.faults.fault_for(&url.host);
+        Ok(self.plan_fetch(url, attempt, fault)?.latency_ms)
+    }
+
+    /// The one fault decision behind [`Network::fetch_attempt`] and
+    /// [`Network::probe`], given the host's planned `fault`.
+    /// [`Fault::Panic`] answers as an unreachable host here (a planner only
+    /// needs to know the host is lethal; `fetch_attempt` panics before
+    /// asking). A truncated script arrives flagged for the caller to cut.
+    fn plan_fetch(
+        &self,
+        url: &Url,
+        attempt: u32,
+        fault: Option<Fault>,
+    ) -> Result<PlannedFetch<'_>, FetchError> {
         match fault {
-            Some(Fault::Unreachable) => {
+            Some(Fault::Unreachable | Fault::Panic) => {
                 return Err(FetchError::Unreachable(url.host.clone()));
             }
             Some(Fault::TransientConnect { failures }) if attempt < failures => {
@@ -482,11 +447,6 @@ impl Network {
             }
             Some(Fault::DnsTimeout) => {
                 return Err(FetchError::Dns(DnsError::Timeout(url.host.clone())));
-            }
-            Some(Fault::Panic) => {
-                // The real fetch panics; for planning purposes the host is
-                // simply lethal.
-                return Err(FetchError::Unreachable(url.host.clone()));
             }
             _ => {}
         }
@@ -510,22 +470,27 @@ impl Network {
                     .get(&(resolution.canonical.clone(), url.path.clone()))
             })
             .ok_or_else(|| FetchError::NotFound(url.clone()))?;
-        let mut latency = latency_ms(&url.host);
+        let mut latency_ms = latency_ms(&url.host);
+        let mut truncated = false;
         match fault {
-            Some(Fault::LatencySpike { extra_ms }) => latency += extra_ms,
+            Some(Fault::LatencySpike { extra_ms }) => latency_ms += extra_ms,
             Some(Fault::SlowStart { extra_ms, attempts }) if attempt < attempts => {
-                latency += extra_ms;
+                latency_ms += extra_ms;
             }
-            Some(Fault::TruncateBody) => {
-                // A cut-off document kills the visit; a cut-off script
-                // still arrives.
-                if matches!(resource, Resource::Page(_)) {
-                    return Err(FetchError::Truncated(url.clone()));
-                }
-            }
+            Some(Fault::TruncateBody) => match resource {
+                // A cut-off document is unusable; a cut-off script arrives,
+                // but corrupted (the interpreter sees a parse error).
+                Resource::Page(_) => return Err(FetchError::Truncated(url.clone())),
+                Resource::Script(_) => truncated = true,
+            },
             _ => {}
         }
-        Ok(latency)
+        Ok(PlannedFetch {
+            resource,
+            resolution,
+            latency_ms,
+            truncated,
+        })
     }
 
     /// [`Network::fetch_attempt`] wrapped in a `"fetch"` trace span.
@@ -577,6 +542,16 @@ impl Network {
             .iter()
             .map(|((h, p), _)| (h.as_str(), p.as_str()))
     }
+}
+
+/// What [`Network::plan_fetch`] decided a fetch meets on success.
+struct PlannedFetch<'a> {
+    /// The hosted resource, not yet cloned.
+    resource: &'a Resource,
+    resolution: Resolution,
+    latency_ms: u64,
+    /// The body is cut off: a script must be truncated before use.
+    truncated: bool,
 }
 
 /// Party classification of a resource URL relative to a page.
