@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use canvassing_script::Program;
 
-pub use cache::{shard_of, AnalysisCache, AnalysisStats, EpochCacheStats, SHARD_COUNT};
+pub use cache::{AnalysisCache, AnalysisStats};
 pub use features::CanvasFeatures;
 pub use taint::{CanvasRead, DimClass, MimeClass, TaintFacts};
 

@@ -94,9 +94,6 @@ fn main() {
         // explicitly (it adds four more full crawls).
         defense_sweep: args.experiment == "e13",
         trace: false,
-        // The serving replay is a deployment extension, not a paper
-        // experiment; `tests/serve.rs` exercises it.
-        serving: false,
     };
     eprintln!(
         "running study (control{} crawls) ...",

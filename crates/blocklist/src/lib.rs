@@ -21,14 +21,12 @@
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod index;
 pub mod list;
 pub mod matcher;
 #[cfg(test)]
 mod proptests;
 pub mod rule;
 
-pub use index::IndexedFilterList;
 pub use list::{DisconnectList, FilterList, Verdict};
 pub use matcher::{pattern_matches, rule_matches, RequestContext};
 pub use rule::{parse_line, Anchor, FilterRule, PartyOption, PatternToken, Skipped, TypeOption};

@@ -47,12 +47,6 @@ pub struct StudyOptions {
     /// Off by default: visits then run with disabled recorders, the
     /// near-zero-overhead path.
     pub trace: bool,
-    /// Replay the standard overload schedule against the verdict-serving
-    /// daemon over a corpus harvested from the popular frontier, with a
-    /// mid-run blocklist reload (EasyList → +EasyPrivacy). Off by
-    /// default: serving is a deployment story layered on the study, not
-    /// part of the paper's measurements.
-    pub serving: bool,
 }
 
 impl Default for StudyOptions {
@@ -63,7 +57,6 @@ impl Default for StudyOptions {
             m1_validation: true,
             defense_sweep: false,
             trace: false,
-            serving: false,
         }
     }
 }
@@ -164,8 +157,6 @@ pub struct StudyResults {
     pub vendor_static: Vec<VendorStaticRow>,
     /// E13 defense sweep rows (control first), empty unless requested.
     pub defense_sweep: Vec<DefenseSweepRow>,
-    /// Verdict-daemon overload replay summary, when requested.
-    pub serving: Option<canvassing_serve::ServeStats>,
 }
 
 /// A script that rendered two same-sized canvases with different bytes —
@@ -565,46 +556,6 @@ fn finish_study(
         }
     }
 
-    // Serving replay: the daemon answers the standard overload schedule
-    // from a corpus harvested off the popular frontier, with EasyPrivacy
-    // hot-reloaded on top of the boot list halfway through.
-    let serving = if options.serving {
-        use canvassing_serve::{
-            generate, harvest_corpus, LoadProfile, ReloadEvent, RuleSnapshot, ServeConfig,
-            ServeStats, VerdictService,
-        };
-        let corpus = harvest_corpus(&web.network, popular_frontier, 256);
-        let mut profile = LoadProfile::standard(2025);
-        for phase in &mut profile.phases {
-            // Compressed durations, full offered rates: the replay keeps
-            // the burst and overload phases above lane capacity.
-            phase.duration_ms = (phase.duration_ms / 10).max(20);
-        }
-        let total_ms: u64 = profile.phases.iter().map(|p| p.duration_ms).sum();
-        let requests = generate(&profile, &corpus);
-        let reloads = vec![ReloadEvent {
-            at_ms: total_ms / 2,
-            name: "easylist+easyprivacy".into(),
-            list_text: format!("{}\n{}", web.lists.easylist, web.lists.easyprivacy),
-            vendor_patterns: None,
-        }];
-        let boot = RuleSnapshot::new(
-            0,
-            "easylist-boot",
-            &web.lists.easylist,
-            RuleSnapshot::standard_vendor_patterns(),
-        );
-        let service = VerdictService::new(ServeConfig {
-            workers: options.workers,
-            ..ServeConfig::default()
-        });
-        let out = service.serve(&requests, &reloads, boot, Some(&web.network), None);
-        let labels: Vec<String> = profile.phases.iter().map(|p| p.label.clone()).collect();
-        Some(ServeStats::compute(&requests, &out, &labels))
-    } else {
-        None
-    };
-
     StudyResults {
         popular,
         tail,
@@ -615,7 +566,6 @@ fn finish_study(
         validation,
         vendor_static: vendor_static_rows(),
         defense_sweep,
-        serving,
     }
 }
 
@@ -749,11 +699,6 @@ impl StudyResults {
                     runs as f64 / (p.script_compiles.max(1)) as f64,
                 ));
             }
-        }
-
-        if let Some(serving) = &self.serving {
-            out.push_str("\n== Serving (verdict daemon overload replay) ==\n");
-            out.push_str(&serving.render());
         }
 
         out.push_str("\n== Reach (Section 4.2) ==\n");
@@ -964,7 +909,6 @@ mod tests {
                 m1_validation: true,
                 defense_sweep: false,
                 trace: true,
-                serving: true,
             },
             &StreamingOptions::default(),
         )
@@ -1112,13 +1056,6 @@ mod tests {
         assert!(report.contains("Observability (trace layer)"));
         assert!(report.contains("confusion matrix over unique scripts"));
         assert!(report.contains("double-render agrees"));
-
-        // The serving replay ran, kept its partition exact, and rendered.
-        let serving = results.serving.as_ref().expect("serving replay ran");
-        assert!(serving.partition_exact(), "{serving:?}");
-        assert_eq!(serving.deadline_violations, 0);
-        assert!(serving.reloads == 1 && serving.offered > 0);
-        assert!(report.contains("Serving (verdict daemon overload replay)"));
     }
 }
 
@@ -1141,7 +1078,6 @@ mod defense_sweep_tests {
                 m1_validation: false,
                 defense_sweep: true,
                 trace: false,
-                serving: false,
             },
             &StreamingOptions::default(),
         )

@@ -28,8 +28,8 @@
 //!   [`ScriptCache::get_or_compile`], which lazily lowers the parsed
 //!   program to VM bytecode (once per body, under the same shard lock)
 //!   and returns both halves as an [`ExecutableScript`]. Parse-only
-//!   consumers (static analysis triage, the serve daemon's prewarm) keep
-//!   using [`ScriptCache::get_or_parse`] and never pay for compilation;
+//!   consumers (static analysis triage) keep using
+//!   [`ScriptCache::get_or_parse`] and never pay for compilation;
 //!   the separate `compiles` counter in [`ScriptCacheStats`] keeps the
 //!   two workloads distinguishable.
 
@@ -232,9 +232,8 @@ impl ScriptCache {
 
     /// A pure cache probe: the cached outcome for `src` if this exact
     /// body has already been compiled, without parsing on a miss and
-    /// without touching the hit/parse counters. Lets degraded serving
-    /// tiers (and tests) prove that a path performed no parse work: a
-    /// body absent here was never lexed.
+    /// without touching the hit/parse counters. Lets tests prove that a
+    /// path performed no parse work: a body absent here was never lexed.
     pub fn get_if_cached(&self, src: &str) -> Option<Result<Arc<Program>, ParseError>> {
         let hash = source_hash(src);
         let shard = &self.shards[(hash as usize) % SHARDS];

@@ -405,8 +405,9 @@ fn plan_cohort<R: Rng>(
                 generic_sites.split_off(generic_sites.len().saturating_sub(n_tail_only));
 
             // Shared assignments, weighted toward big popular clusters.
+            let shared_weights = cluster_weights(&shared_pool);
             for &site in &generic_sites {
-                let cluster = weighted_cluster(&shared_pool, rng);
+                let cluster = weighted_cluster(&shared_pool, &shared_weights, rng);
                 let mix = config.generic_serving(cohort);
                 plans[site].deployments.push(Deployment {
                     kind: ScriptKind::Generic {
@@ -471,6 +472,7 @@ fn plan_cohort<R: Rng>(
         }
     };
     if !head.is_empty() {
+        let head_weights = cluster_weights(&head);
         let weights = config.extra_generic_weights();
         let fp_sites: Vec<usize> = fp_set
             .iter()
@@ -494,7 +496,7 @@ fn plan_cohort<R: Rng>(
                 roll -= w;
             }
             for _ in 0..extra {
-                let cluster = weighted_cluster(&head, rng);
+                let cluster = weighted_cluster(&head, &head_weights, rng);
                 let already = plans[site].deployments.iter().any(
                     |d| matches!(d.kind, ScriptKind::Generic { cluster: c, .. } if c == cluster.id),
                 );
@@ -585,17 +587,29 @@ fn plan_cohort<R: Rng>(
     plans
 }
 
-fn weighted_cluster<R: Rng>(pool: &[GenericCluster], rng: &mut R) -> GenericCluster {
-    // Weight decays with cluster id, mirroring the head-heavy size plan so
-    // reuse concentrates on already-popular canvases.
+/// Draw weights of a cluster pool and their sum, for [`weighted_cluster`].
+/// Weight decays with cluster id, mirroring the head-heavy size plan so
+/// reuse concentrates on already-popular canvases. A pool does not change
+/// between draws, so callers compute this once per pool.
+fn cluster_weights(pool: &[GenericCluster]) -> (Vec<f64>, f64) {
     let weights: Vec<f64> = pool
         .iter()
         .map(|c| 1.0 / (5.0 + c.id as f64).powf(0.9))
         .collect();
     let total: f64 = weights.iter().sum();
-    let mut roll = rng.gen_range(0.0..total);
+    (weights, total)
+}
+
+/// Draws one cluster from `pool`, with `(weights, total)` from
+/// [`cluster_weights`] over the same pool.
+fn weighted_cluster<R: Rng>(
+    pool: &[GenericCluster],
+    (weights, total): &(Vec<f64>, f64),
+    rng: &mut R,
+) -> GenericCluster {
+    let mut roll = rng.gen_range(0.0..*total);
     let mut chosen = None;
-    for (c, w) in pool.iter().zip(weights) {
+    for (c, &w) in pool.iter().zip(weights) {
         chosen = Some(*c);
         if roll < w {
             return *c;

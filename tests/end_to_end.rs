@@ -23,7 +23,6 @@ fn study() -> &'static canvassing::study::StudyResults {
                 m1_validation: true,
                 defense_sweep: false,
                 trace: false,
-                serving: false,
             },
             &StreamingOptions::default(),
         )

@@ -5,7 +5,9 @@
 //! and benign scripts). On the seeded evasion corpus the AST engine is
 //! expected to abstain and the bytecode engine to recover a decisive
 //! `Fingerprinting` verdict — gated here at ≥80% recovery with zero new
-//! false positives, cross-checked against the dynamic detector.
+//! false positives, cross-checked against the dynamic detector. The
+//! bytecode verifier must also accept every compiled chunk of a
+//! generated web's script corpus.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 

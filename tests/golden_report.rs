@@ -42,7 +42,6 @@ fn render_canonical() -> String {
             m1_validation: true,
             defense_sweep: false,
             trace: true,
-            serving: false,
         },
         &StreamingOptions::default(),
     )

@@ -81,7 +81,6 @@ fn streamed_study_report_is_byte_identical() {
         m1_validation: true,
         defense_sweep: false,
         trace: true,
-        serving: false,
     };
     let spill = tmp_dir("study-spill");
     let streaming = StreamingOptions {

@@ -411,7 +411,6 @@ fn supervised_study_report_is_identical_across_fault_scripts() {
         m1_validation: false,
         defense_sweep: false,
         trace: false,
-        serving: false,
     };
     let streamed = run_study_streamed(&web, &options, &StreamingOptions::default()).unwrap();
 
