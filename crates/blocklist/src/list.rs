@@ -3,9 +3,9 @@
 use canvassing_net::domain::registrable_domain;
 use canvassing_net::{ResourceType, Url};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use crate::matcher::{rule_matches, RequestContext};
+use crate::matcher::{host_label_key, rule_matches, RequestContext};
 use crate::rule::{parse_line, FilterRule};
 
 /// Outcome of evaluating a request against a filter list.
@@ -32,14 +32,12 @@ impl Verdict {
 }
 
 /// A parsed ABP-syntax filter list (EasyList / EasyPrivacy shaped).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FilterList {
     /// List name, for reporting (e.g. `"EasyList"`).
     pub name: String,
-    /// Blocking rules.
-    pub rules: Vec<FilterRule>,
-    /// Exception rules.
-    pub exceptions: Vec<FilterRule>,
+    rules: RuleSet,
+    exceptions: RuleSet,
     /// Number of input lines skipped during parsing.
     pub skipped: usize,
 }
@@ -66,9 +64,19 @@ impl FilterList {
         list
     }
 
+    /// Blocking rules, in list order.
+    pub fn rules(&self) -> &[FilterRule] {
+        &self.rules.rules
+    }
+
+    /// Exception (`@@`) rules, in list order.
+    pub fn exceptions(&self) -> &[FilterRule] {
+        &self.exceptions.rules
+    }
+
     /// Total number of rules (blocking + exception).
     pub fn len(&self) -> usize {
-        self.rules.len() + self.exceptions.len()
+        self.rules().len() + self.exceptions().len()
     }
 
     /// Whether the list has no rules.
@@ -76,13 +84,13 @@ impl FilterList {
         self.len() == 0
     }
 
-    /// Evaluates a request: first blocking rules, then exceptions.
+    /// Evaluates a request: the earliest matching blocking rule, then the
+    /// earliest matching exception, both in list order.
     pub fn evaluate(&self, ctx: &RequestContext) -> Verdict {
-        let hit = self.rules.iter().find(|r| rule_matches(r, ctx));
-        let Some(block) = hit else {
+        let Some(block) = self.rules.first_match(ctx) else {
             return Verdict::Allow;
         };
-        if let Some(exc) = self.exceptions.iter().find(|r| rule_matches(r, ctx)) {
+        if let Some(exc) = self.exceptions.first_match(ctx) {
             return Verdict::Excepted {
                 block: block.raw.clone(),
                 exception: exc.raw.clone(),
@@ -98,6 +106,54 @@ impl FilterList {
     pub fn covers_script_url(&self, url: &Url, resource_type: ResourceType) -> bool {
         let ctx = RequestContext::new(url.clone(), resource_type, false, "adblockparser.invalid");
         matches!(self.evaluate(&ctx), Verdict::Block(_))
+    }
+}
+
+/// Rules in list order, indexed by the host label each `||` rule can
+/// match at ([`host_label_key`]).
+#[derive(Debug, Clone, Default)]
+struct RuleSet {
+    rules: Vec<FilterRule>,
+    /// Positions in `rules` of the rules with a label key, by key.
+    by_label: HashMap<String, Vec<usize>>,
+    /// Positions of every other rule.
+    unfiled: Vec<usize>,
+}
+
+impl RuleSet {
+    fn push(&mut self, rule: FilterRule) {
+        let at = self.rules.len();
+        match host_label_key(&rule) {
+            Some(label) => self.by_label.entry(label.to_string()).or_default().push(at),
+            None => self.unfiled.push(at),
+        }
+        self.rules.push(rule);
+    }
+
+    /// The earliest rule in list order that matches `ctx`: the one a scan
+    /// of every rule finds. Only rules filed under a label of the request
+    /// host, and the unfiled ones, can match, so only they are tested.
+    fn first_match(&self, ctx: &RequestContext) -> Option<&FilterRule> {
+        let Some(labels) = ctx.host_labels() else {
+            return self.rules.iter().find(|r| rule_matches(r, ctx));
+        };
+        let mut first = self.rules.len();
+        let mut earliest = |ids: &[usize]| {
+            let hit = ids
+                .iter()
+                .take_while(|&&at| at < first)
+                .find(|&&at| rule_matches(&self.rules[at], ctx));
+            if let Some(&at) = hit {
+                first = at;
+            }
+        };
+        for label in labels {
+            if let Some(ids) = self.by_label.get(label) {
+                earliest(ids);
+            }
+        }
+        earliest(&self.unfiled);
+        self.rules.get(first)
     }
 }
 
@@ -174,8 +230,8 @@ example.com##.banner
     #[test]
     fn parse_counts() {
         let list = FilterList::parse("test", SAMPLE);
-        assert_eq!(list.rules.len(), 3);
-        assert_eq!(list.exceptions.len(), 1);
+        assert_eq!(list.rules().len(), 3);
+        assert_eq!(list.exceptions().len(), 1);
         assert_eq!(list.skipped, 3); // comment, header, cosmetic
     }
 

@@ -4,22 +4,21 @@ use canvassing_net::{ResourceType, Url};
 
 use crate::rule::{Anchor, FilterRule, PartyOption, PatternToken, TypeOption};
 
-/// The request context a rule is evaluated against.
+/// The request context a rule is evaluated against. The URL is formatted
+/// and lowercased once, here, and every rule matches against that text.
 #[derive(Debug, Clone)]
 pub struct RequestContext {
-    /// The resource URL being requested.
-    pub url: Url,
-    /// What kind of resource it is.
-    pub resource_type: ResourceType,
-    /// Whether the request is first-party relative to the page
-    /// (same registrable domain).
-    pub first_party: bool,
-    /// Registrable domain of the page making the request (for `domain=`).
-    pub page_domain: String,
+    text: UrlText,
+    resource_type: ResourceType,
+    first_party: bool,
+    page_domain: String,
 }
 
 impl RequestContext {
-    /// Convenience constructor used throughout the pipeline.
+    /// The context of a request for `url`, a `resource_type` resource,
+    /// made by a page whose registrable domain is `page_domain` (matched
+    /// by `domain=`). `first_party` says whether the request is
+    /// same-site with the page.
     pub fn new(
         url: Url,
         resource_type: ResourceType,
@@ -27,11 +26,115 @@ impl RequestContext {
         page_domain: &str,
     ) -> Self {
         RequestContext {
-            url,
+            text: UrlText::new(&url),
             resource_type,
             first_party,
             page_domain: page_domain.to_ascii_lowercase(),
         }
+    }
+
+    /// The labels of the request host, in host order, or `None` when the
+    /// host holds a character `^` treats as a separator. `Url::parse`
+    /// never produces such a host; `Url::https` and writes to `host` can.
+    pub(crate) fn host_labels(&self) -> Option<std::str::Split<'_, char>> {
+        let host = self.text.host();
+        (!host.chars().any(is_separator)).then(|| host.split('.'))
+    }
+}
+
+/// A URL as rules see it: formatted and lowercased, with the byte range
+/// of its host.
+#[derive(Debug, Clone)]
+struct UrlText {
+    full: String,
+    /// Where the host starts: after the first `://`.
+    host_start: usize,
+    /// Where the host ends: at the first `/`, `?` or `:` after its start.
+    host_end: usize,
+}
+
+impl UrlText {
+    fn new(url: &Url) -> UrlText {
+        let mut full = url.to_string();
+        full.make_ascii_lowercase();
+        let host_start = full.find("://").map_or(0, |i| i + 3);
+        let host_end = full[host_start..]
+            .find(['/', '?', ':'])
+            .map_or(full.len(), |i| host_start + i);
+        UrlText {
+            full,
+            host_start,
+            host_end,
+        }
+    }
+
+    fn host(&self) -> &str {
+        &self.full[self.host_start..self.host_end]
+    }
+
+    /// Where `||` may anchor: the start of the host and of each later
+    /// label.
+    fn label_starts(&self) -> impl Iterator<Item = usize> + '_ {
+        let start = self.host_start;
+        std::iter::once(start).chain(
+            self.host()
+                .match_indices('.')
+                .map(move |(i, _)| start + i + 1),
+        )
+    }
+
+    fn matches(&self, rule: &FilterRule) -> bool {
+        let full = self.full.as_str();
+        let at = |pos| match_tokens_at(&rule.tokens, full, pos, rule.end_anchor);
+        match rule.anchor {
+            Anchor::Start => at(0),
+            Anchor::Domain => self.label_starts().any(at),
+            Anchor::None => {
+                if rule.tokens.is_empty() {
+                    return true;
+                }
+                // Every literal of a match occurs in the URL, so a rule
+                // with a literal the URL lacks cannot match anywhere.
+                let literals_occur = rule.tokens.iter().all(|t| match t {
+                    PatternToken::Literal(lit) => full.contains(lit.as_str()),
+                    PatternToken::Wildcard | PatternToken::Separator => true,
+                });
+                literals_occur
+                    && full
+                        .char_indices()
+                        .map(|(i, _)| i)
+                        .chain(std::iter::once(full.len()))
+                        .any(at)
+            }
+        }
+    }
+}
+
+/// The host label a `||` rule can match at, when the rule text shows
+/// where that label ends: a `.`, `/`, `?` or `:` in its leading literal,
+/// or a `^` right after it. Such a rule matches a host only at a label
+/// equal to the key, so [`FilterList`](crate::FilterList) tests it only
+/// on hosts that have that label. `||adserv`, `||ads*.js` and `||track*`
+/// have no key: `adserv` may be the start of a longer label.
+///
+/// Why the key is exact: `||` anchors at a label start `s`. A `.` ends
+/// the label at `s`, and `/`, `?` or `:` ends the whole host, so a
+/// literal whose first such character sits at `i` matches at `s` only if
+/// the label at `s` is the literal's first `i` bytes. A `^` after the
+/// literal needs a separator there, and inside a host only a separator
+/// character can be one; [`RequestContext::host_labels`] sends hosts that
+/// hold one to the full scan.
+pub(crate) fn host_label_key(rule: &FilterRule) -> Option<&str> {
+    if rule.anchor != Anchor::Domain {
+        return None;
+    }
+    let (PatternToken::Literal(lit), rest) = rule.tokens.split_first()? else {
+        return None;
+    };
+    match lit.find(['.', '/', '?', ':']) {
+        Some(end) => Some(&lit[..end]),
+        None if rest.first() == Some(&PatternToken::Separator) => Some(lit),
+        None => None,
     }
 }
 
@@ -60,7 +163,12 @@ fn party_matches(rule: &FilterRule, first_party: bool) -> bool {
 }
 
 fn domain_matches(rule: &FilterRule, page_domain: &str) -> bool {
-    let covered = |d: &String| page_domain == d.as_str() || page_domain.ends_with(&format!(".{d}"));
+    // `d` itself or a subdomain of it.
+    let covered = |d: &String| {
+        page_domain
+            .strip_suffix(d.as_str())
+            .is_some_and(|rest| rest.is_empty() || rest.ends_with('.'))
+    };
     if rule.exclude_domains.iter().any(covered) {
         return false;
     }
@@ -75,8 +183,8 @@ fn is_separator(c: char) -> bool {
     !(c.is_ascii_alphanumeric() || c == '_' || c == '-' || c == '.' || c == '%')
 }
 
-/// Matches the compiled tokens against `text` starting exactly at
-/// byte offset `pos`. Returns the end offset on success.
+/// Whether the compiled tokens match `text` starting exactly at byte
+/// offset `pos`.
 fn match_tokens_at(tokens: &[PatternToken], text: &str, pos: usize, end_anchor: bool) -> bool {
     match tokens.split_first() {
         None => !end_anchor || pos == text.len(),
@@ -118,45 +226,11 @@ fn match_tokens_at(tokens: &[PatternToken], text: &str, pos: usize, end_anchor: 
     }
 }
 
-/// Whether the rule's pattern (ignoring options) matches the URL.
+/// Whether the rule's pattern (ignoring options) matches the URL. This
+/// formats the URL on every call; [`rule_matches`] reuses the text its
+/// [`RequestContext`] formatted once.
 pub fn pattern_matches(rule: &FilterRule, url: &Url) -> bool {
-    let full = url.to_string().to_ascii_lowercase();
-    match rule.anchor {
-        Anchor::Start => match_tokens_at(&rule.tokens, &full, 0, rule.end_anchor),
-        Anchor::Domain => {
-            // `||` anchors at the start of the host or any label boundary
-            // within it.
-            let host_start = full.find("://").map(|i| i + 3).unwrap_or(0);
-            let host_end = full[host_start..]
-                .find(['/', '?', ':'])
-                .map(|i| host_start + i)
-                .unwrap_or(full.len());
-            let mut starts = vec![host_start];
-            for (i, c) in full[host_start..host_end].char_indices() {
-                if c == '.' {
-                    starts.push(host_start + i + 1);
-                }
-            }
-            starts
-                .into_iter()
-                .any(|s| match_tokens_at(&rule.tokens, &full, s, rule.end_anchor))
-        }
-        Anchor::None => {
-            if rule.tokens.is_empty() {
-                return true;
-            }
-            let mut pos = 0;
-            loop {
-                if match_tokens_at(&rule.tokens, &full, pos, rule.end_anchor) {
-                    return true;
-                }
-                match full[pos..].chars().next() {
-                    Some(c) => pos += c.len_utf8(),
-                    None => return false,
-                }
-            }
-        }
-    }
+    UrlText::new(url).matches(rule)
 }
 
 /// Full rule evaluation: pattern + type + party + domain options.
@@ -164,7 +238,7 @@ pub fn rule_matches(rule: &FilterRule, ctx: &RequestContext) -> bool {
     type_matches(rule, ctx.resource_type)
         && party_matches(rule, ctx.first_party)
         && domain_matches(rule, &ctx.page_domain)
-        && pattern_matches(rule, &ctx.url)
+        && ctx.text.matches(rule)
 }
 
 #[cfg(test)]

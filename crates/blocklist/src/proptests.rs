@@ -1,5 +1,6 @@
 //! Property tests for the blocklist engine: totality of the parser,
-//! semantic invariants of exceptions and type options. Each property is
+//! semantic invariants of exceptions and type options, and the host-label
+//! index against a scan of every rule. Each property is
 //! a seeded LCG loop over [`CASES`] generated inputs, so a failure
 //! replays exactly from its case number.
 
@@ -7,7 +8,7 @@
 
 use canvassing_net::{ResourceType, Url};
 
-use crate::list::FilterList;
+use crate::list::{FilterList, Verdict};
 use crate::matcher::{rule_matches, RequestContext};
 use crate::rule::parse_line;
 
@@ -170,5 +171,236 @@ fn matching_is_case_insensitive() {
         let rule = parse_line(&format!("/{}/x.js", path.to_uppercase())).unwrap();
         let url = Url::parse(&format!("https://a.example/{}/x.js", path.to_lowercase())).unwrap();
         assert!(crate::matcher::pattern_matches(&rule, &url), "{path}");
+    }
+}
+
+/// Labels the index property builds hosts from. Some are prefixes of
+/// others, so partial-label rules (`||adserv`) hit longer labels.
+const LABELS: &[&str] = &[
+    "ads", "adserver", "cdn", "track", "tracker", "fp", "x", "static",
+];
+const TLDS: &[&str] = &["net", "com", "io", "co.uk"];
+const FILES: &[&str] = &["fp.js", "a.js", "fp-1.js", "track.gif", "ads.js", "x.png"];
+const PAGES: &[&str] = &["news.com", "shop.net", "blog.news.com", "ads.io", "x.co.uk"];
+/// Characters `^` treats as separators that a formatted host can carry
+/// (`/`, `?` and `:` would end the host instead).
+const HOST_SEPARATORS: &[u8] = b"=+!~,;&";
+
+impl Lcg {
+    fn pick<'a>(&mut self, items: &[&'a str]) -> &'a str {
+        items[self.below(items.len())]
+    }
+
+    /// `label(.label)?.tld`.
+    fn host(&mut self) -> String {
+        let mut host = self.pick(LABELS).to_string();
+        if self.below(3) == 0 {
+            host = format!("{}.{host}", self.pick(LABELS));
+        }
+        format!("{host}.{}", self.pick(TLDS))
+    }
+
+    /// A non-empty prefix of a label, often a partial one.
+    fn label_prefix(&mut self) -> String {
+        let label = self.pick(LABELS);
+        label[..self.len(1, label.len())].to_string()
+    }
+
+    /// One rule of one of the shapes the index must agree with the scan
+    /// on, and whether it is a partial-label `||` rule.
+    fn index_rule(&mut self, hosts: &[String]) -> (String, bool) {
+        let host = hosts[self.below(hosts.len())].clone();
+        let shape = self.below(11);
+        let pattern = match shape {
+            0 => format!("||{host}^"),
+            1 => format!("||{}", self.label_prefix()),
+            2 => format!("||{}*.js", self.label_prefix()),
+            3 => format!("||{}*", self.label_prefix()),
+            4 => format!("||.{}", self.pick(TLDS)),
+            5 => format!("||{}^", self.pick(LABELS)),
+            6 => format!("||{host}/*.js"),
+            7 => format!("/{}", self.pick(FILES)),
+            8 => format!("{}*.{}", self.label_prefix(), self.pick(&["js", "gif"])),
+            9 => format!(
+                "|https://{host}/{}{}",
+                self.pick(FILES),
+                self.pick(&["|", ""])
+            ),
+            _ => format!("|http{}", self.pick(&["s://", "://", "s://cdn."])),
+        };
+        let mut options = Vec::new();
+        for (odds, option) in [
+            (4, "script"),
+            (8, "~script"),
+            (6, "document"),
+            (4, "third-party"),
+            (8, "~third-party"),
+        ] {
+            if self.below(odds) == 0 {
+                options.push(option.to_string());
+            }
+        }
+        if self.below(4) == 0 {
+            options.push(format!("domain={}|~{}", self.pick(PAGES), self.pick(PAGES)));
+        }
+        let exception = if self.below(4) == 0 { "@@" } else { "" };
+        let options = if options.is_empty() {
+            String::new()
+        } else {
+            format!("${}", options.join(","))
+        };
+        (
+            format!("{exception}{pattern}{options}"),
+            (1..=3).contains(&shape),
+        )
+    }
+
+    /// A request URL on a subdomain of a listed host or on an unrelated
+    /// one, with optional port and query. One in sixteen hosts has an
+    /// empty label, and one in eight carries a separator character, built
+    /// the way only `Url::https` can.
+    fn index_url(&mut self, hosts: &[String]) -> Url {
+        let mut host = if self.below(4) == 0 {
+            self.host()
+        } else {
+            hosts[self.below(hosts.len())].clone()
+        };
+        for _ in 0..self.below(3) {
+            host = format!("{}.{host}", self.pick(LABELS));
+        }
+        if self.below(16) == 0 {
+            // An empty label, where only `||.x` rules anchor.
+            host = host.replacen('.', "..", 1);
+        }
+        let path = format!("/{}", self.pick(&["", "ads/", "lib/v2/"])) + self.pick(FILES);
+        let mut url = if self.below(8) == 0 {
+            let at = self.below(host.len() + 1);
+            let sep = HOST_SEPARATORS[self.below(HOST_SEPARATORS.len())] as char;
+            host.insert(at, sep);
+            Url::https(&host, &path)
+        } else {
+            let scheme = self.pick(&["https", "http"]);
+            Url::parse(&format!("{scheme}://{host}{path}")).expect("generated URL")
+        };
+        if self.below(4) == 0 {
+            url.port = Some(8080);
+        }
+        if self.below(3) == 0 {
+            url.query = Some(format!("v=1&u={}", self.pick(LABELS)));
+        }
+        url
+    }
+}
+
+/// The verdict a scan of every rule in list order returns.
+fn scan(list: &FilterList, ctx: &RequestContext) -> Verdict {
+    let Some(block) = list.rules().iter().find(|r| rule_matches(r, ctx)) else {
+        return Verdict::Allow;
+    };
+    match list.exceptions().iter().find(|r| rule_matches(r, ctx)) {
+        Some(exc) => Verdict::Excepted {
+            block: block.raw.clone(),
+            exception: exc.raw.clone(),
+        },
+        None => Verdict::Block(block.raw.clone()),
+    }
+}
+
+/// The host-label index returns the scan's verdict, rule text included,
+/// on lists of every rule shape: whole-host, partial-label and `||.x`
+/// domain anchors, wildcard, `|`-anchored and unanchored rules, type,
+/// party and `domain=` options and `@@` exceptions. Requests cover
+/// subdomains, ports, queries, both parties, page domains in and out of
+/// the `domain=` lists, and hosts that hold separator characters.
+#[test]
+fn index_agrees_with_scan() {
+    let (mut non_allow, mut partial_blocks, mut separator_hits, mut contested) = (0, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = Lcg::case(7, case);
+        let hosts: Vec<String> = (0..rng.len(1, 4)).map(|_| rng.host()).collect();
+        let mut partial = Vec::new();
+        let text: String = (0..rng.len(4, 24))
+            .map(|_| {
+                let (rule, is_partial) = rng.index_rule(&hosts);
+                if is_partial {
+                    partial.push(rule.clone());
+                }
+                rule + "\n"
+            })
+            .collect();
+        let list = FilterList::parse("index", &text);
+        for _ in 0..32 {
+            let url = rng.index_url(&hosts);
+            let ty = [
+                ResourceType::Script,
+                ResourceType::Document,
+                ResourceType::Image,
+            ][rng.below(3)];
+            let page = match rng.below(3) {
+                0 => format!("{}.{}", rng.pick(LABELS), rng.pick(PAGES)),
+                _ => rng.pick(PAGES).to_string(),
+            };
+            let ctx = RequestContext::new(url.clone(), ty, rng.below(3) == 0, &page);
+            let expected = scan(&list, &ctx);
+            assert_eq!(
+                list.evaluate(&ctx),
+                expected,
+                "case {case}: {url} ({ty:?}, page {page}) against\n{text}"
+            );
+            if expected != Verdict::Allow {
+                non_allow += 1;
+                separator_hits += usize::from(ctx.host_labels().is_none());
+            }
+            if let Verdict::Block(rule) = &expected {
+                partial_blocks += usize::from(partial.contains(rule));
+            }
+            let matching = list.rules().iter().filter(|r| rule_matches(r, &ctx));
+            contested += usize::from(matching.count() > 1);
+        }
+    }
+    // The generator must reach the cases an inexact index gets wrong.
+    assert!(non_allow > 2000, "{non_allow} non-allow verdicts");
+    assert!(
+        partial_blocks > 500,
+        "{partial_blocks} partial-label blocks"
+    );
+    assert!(
+        separator_hits > 200,
+        "{separator_hits} hits on separator hosts"
+    );
+    assert!(
+        contested > 1000,
+        "{contested} requests matching several rules"
+    );
+}
+
+/// The two gaps of an inexact index, pinned: a partial label blocks, and
+/// the block carries the earliest matching rule in list order.
+#[test]
+fn index_keeps_partial_labels_and_list_order() {
+    let script = |list: &FilterList, url: &str| {
+        let url = Url::parse(url).unwrap();
+        list.evaluate(&RequestContext::new(
+            url,
+            ResourceType::Script,
+            false,
+            "page.example",
+        ))
+    };
+    let partial = FilterList::parse("partial", "||adserv\n");
+    assert_eq!(
+        script(&partial, "https://adserver.net/a.js"),
+        Verdict::Block("||adserv".into())
+    );
+    for (text, first) in [
+        ("/fp.js\n||cdn.tracker.net^\n", "/fp.js"),
+        ("||cdn.tracker.net^\n/fp.js\n", "||cdn.tracker.net^"),
+    ] {
+        let list = FilterList::parse("order", text);
+        assert_eq!(
+            script(&list, "https://cdn.tracker.net/fp.js"),
+            Verdict::Block(first.into()),
+            "{text:?}"
+        );
     }
 }

@@ -223,25 +223,4 @@ mod tests {
         assert_eq!(Url::https("a.com", "/x/y/app.js").filename(), "app.js");
         assert_eq!(Url::https("a.com", "/").filename(), "");
     }
-
-    #[cfg(test)]
-    mod props {
-        // The proptest stub swallows test bodies; imports look unused.
-        #![allow(unused_imports)]
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn parse_display_roundtrip(
-                host in "[a-z][a-z0-9-]{0,10}(\\.[a-z]{2,5}){1,2}",
-                path in "(/[a-z0-9._-]{1,8}){0,3}",
-            ) {
-                let s = format!("https://{host}{path}");
-                let u = Url::parse(&s).unwrap();
-                let re = Url::parse(&u.to_string()).unwrap();
-                prop_assert_eq!(u, re);
-            }
-        }
-    }
 }

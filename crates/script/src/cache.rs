@@ -230,19 +230,6 @@ impl ScriptCache {
         }
     }
 
-    /// A pure cache probe: the cached outcome for `src` if this exact
-    /// body has already been compiled, without parsing on a miss and
-    /// without touching the hit/parse counters. Lets tests prove that a
-    /// path performed no parse work: a body absent here was never lexed.
-    pub fn get_if_cached(&self, src: &str) -> Option<Result<Arc<Program>, ParseError>> {
-        let hash = source_hash(src);
-        let shard = &self.shards[(hash as usize) % SHARDS];
-        let map = shard.lock().unwrap_or_else(|poison| poison.into_inner());
-        map.get(&hash)
-            .and_then(|bucket| bucket.iter().find(|e| e.source == src))
-            .map(|e| e.compiled.clone())
-    }
-
     /// The shared lookup path. With `want_bytecode`, ensures the entry
     /// carries compiled bytecode (compiling it now, under the shard lock,
     /// if this is the body's first execution-path lookup).
@@ -467,30 +454,6 @@ mod tests {
             assert_eq!(parses, distinct.len() as u64);
             assert_eq!(cache.stats().lookups(), lookups as u64);
         }
-    }
-
-    #[test]
-    fn get_if_cached_is_a_pure_probe() {
-        let cache = ScriptCache::new();
-        let src = "let probe = 1;";
-        assert!(cache.get_if_cached(src).is_none(), "miss before any parse");
-        assert_eq!(
-            cache.stats().lookups(),
-            0,
-            "a probe miss is not a counted lookup and performs no parse"
-        );
-        let parsed = cache.get_or_parse(src).unwrap();
-        let probed = cache
-            .get_if_cached(src)
-            .and_then(Result::ok)
-            .unwrap_or_else(|| unreachable!("just parsed"));
-        assert!(Arc::ptr_eq(&parsed, &probed));
-        assert_eq!(cache.stats().parses, 1);
-        assert_eq!(cache.stats().hits, 0, "probes never count as hits");
-        // Failures probe too.
-        let bad = "let = ;";
-        cache.get_or_parse(bad).unwrap_err();
-        assert!(matches!(cache.get_if_cached(bad), Some(Err(_))));
     }
 
     #[test]

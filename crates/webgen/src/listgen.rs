@@ -178,8 +178,8 @@ mod tests {
         let el = FilterList::parse("EasyList", &g.easylist);
         let ep = FilterList::parse("EasyPrivacy", &g.easyprivacy);
         let dc = DisconnectList::parse(&g.disconnect);
-        assert!(el.rules.len() > 100, "{} EL rules", el.rules.len());
-        assert!(ep.rules.len() > 50);
+        assert!(el.rules().len() > 100, "{} EL rules", el.rules().len());
+        assert!(ep.rules().len() > 50);
         assert!(dc.len() >= 4, "{} disconnect domains", dc.len());
     }
 
