@@ -11,21 +11,21 @@
 //! changing runtime behavior. This module re-runs the same detection
 //! logic on the flat PR-7 bytecode, where those tricks are transparent:
 //!
-//! * [`cfg`] — per-chunk control-flow graphs: basic blocks split at the
+//! * `cfg` — per-chunk control-flow graphs: basic blocks split at the
 //!   pre-resolved jump targets of the [`Insn`](canvassing_script::bytecode::Insn)
 //!   stream.
-//! * [`domain`] — the abstract domain: `{Untainted, Tainted,
+//! * `domain` — the abstract domain: `{Untainted, Tainted,
 //!   Canvas/Context(site), Const(str/num), HostGlobal}` over stack
 //!   slots, frame-relative locals, and global symbols, with a
 //!   constant lattice whose join collapses disagreeing constants (so
 //!   ascending chains are finite and the fixpoint terminates without a
 //!   separate widening operator).
-//! * [`exec`] — the worklist fixed-point interpreter for one chunk:
+//! * `exec` — the worklist fixed-point interpreter for one chunk:
 //!   block entry states join monotonically; constant folding replays
 //!   the VM's exact `Add`-concat / `fromCharCode` / `slice` semantics
 //!   so reassembled strings stay `Const` instead of degrading to
 //!   unknown.
-//! * [`summaries`] — bottom-up per-function summaries (param-to-return,
+//! * `summaries` — bottom-up per-function summaries (param-to-return,
 //!   param-to-sink, constant/canvas returns) iterated to a fixpoint
 //!   with a bounded round count as the recursion widening bound.
 //!

@@ -1,7 +1,7 @@
 //! # canvassing-analysis
 //!
 //! A *static* fingerprinting classifier over compiled canvascript
-//! [`Program`](canvassing_script::Program) ASTs — the pre-execution
+//! [`Program`] ASTs — the pre-execution
 //! counterpart to the paper's dynamic §3.2 interception heuristics.
 //!
 //! The pass has three layers:

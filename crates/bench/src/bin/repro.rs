@@ -105,7 +105,7 @@ fn main() {
     );
     let start = std::time::Instant::now();
     let results = run_study_streamed(&web, &options, &StreamingOptions::default())
-        .expect("a study without a spill directory does no I/O");
+        .expect("the streamed study does no I/O");
     eprintln!("study completed in {:.1?}", start.elapsed());
 
     if want("e1") {

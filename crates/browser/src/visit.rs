@@ -92,7 +92,7 @@ const STEPS_PER_MS: u64 = 1_000;
 pub struct VisitPolicy {
     /// Simulated wall-clock deadline for the whole visit, in milliseconds.
     /// Response latencies count directly; script execution is charged at
-    /// [`STEPS_PER_MS`] steps per millisecond. `None` disables the check.
+    /// `STEPS_PER_MS` (1,000) steps per millisecond. `None` disables the check.
     pub deadline_ms: Option<u64>,
     /// Total interpreter-step fuel for all scripts on the page. `None`
     /// leaves each script bounded only by the interpreter's own

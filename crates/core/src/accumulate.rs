@@ -9,7 +9,7 @@
 //!
 //! * prevalence scalars plus a canvases-per-site **histogram** (not the
 //!   per-site vector);
-//! * a mergeable cluster map keyed by canvas bytes;
+//! * a cluster map keyed by canvas bytes;
 //! * evasion / blocklist-coverage counters;
 //! * the static-vs-dynamic vote map keyed by unique script body;
 //! * fidelity-tier bias accounting;
@@ -17,11 +17,12 @@
 //!   attribution and Table 2), keyed by site — roughly a tenth of the
 //!   stream, carrying canvases rather than full visits.
 //!
-//! `absorb` is associative and commutative up to the record stream being
-//! a set of distinct sites: any fold order and any shard partition merge
-//! to the same state (gated by the seeded sweep below and by
-//! `tests/streaming_equivalence.rs` at study level). Each component is
-//! the streaming form of a slice helper over a materialized dataset
+//! `absorb` is commutative up to the record stream being a set of
+//! distinct sites: any fold order reaches the same state (gated by the
+//! seeded sweep below and by `tests/streaming_equivalence.rs` at study
+//! level), so the streamed study and the supervised study, which folds
+//! its merged dataset, agree. Each component is the streaming form of a
+//! slice helper over a materialized dataset
 //! ([`Prevalence::compute`](crate::prevalence::Prevalence::compute),
 //! [`Clustering::build`](crate::cluster::Clustering::build), ...); the
 //! test below holds the two forms equal.
@@ -31,7 +32,6 @@ use std::collections::BTreeMap;
 use canvassing_blocklist::{DisconnectList, FilterList};
 use canvassing_crawler::{CrawlStats, FailureKind, SiteOutcome, SiteRecord};
 use canvassing_webgen::Cohort;
-use serde::{Deserialize, Serialize};
 
 use crate::bias::BiasAccounting;
 use crate::blocklist_coverage::CoverageCounts;
@@ -43,8 +43,8 @@ use crate::study::CohortAnalysis;
 use crate::validation::{BytecodeTriageStats, ScriptVotes};
 
 /// Streaming cohort state: everything [`CohortAnalysis`] needs, foldable
-/// one record at a time and mergeable across frontier shards.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// one record at a time.
+#[derive(Debug, Clone)]
 pub struct CohortAccumulator {
     attempted: usize,
     failures: BTreeMap<FailureKind, usize>,
@@ -111,25 +111,6 @@ impl CohortAccumulator {
                 *self.failures.entry(failure.kind).or_insert(0) += 1;
                 self.bias.absorb(record, None);
             }
-        }
-    }
-
-    /// Merges a sibling accumulator built over a disjoint frontier shard.
-    /// Merge order never changes the result: every component is either a
-    /// sum or a keyed union.
-    pub fn merge(&mut self, other: &CohortAccumulator) {
-        self.attempted += other.attempted;
-        for (&kind, &n) in &other.failures {
-            *self.failures.entry(kind).or_insert(0) += n;
-        }
-        self.prevalence.merge(&other.prevalence);
-        self.clusters.merge(&other.clusters);
-        self.evasion.merge(&other.evasion);
-        self.coverage.merge(&other.coverage);
-        self.votes.merge(&other.votes);
-        self.bias.merge(&other.bias);
-        for (site, det) in &other.retained {
-            self.retained.insert(site.clone(), det.clone());
         }
     }
 
@@ -314,11 +295,9 @@ mod tests {
         assert!(!streamed_fp.is_empty(), "pool has fingerprinting sites");
     }
 
-    /// Satellite property sweep (hand-rolled: the environment ships a
-    /// no-op `proptest` stub): 400 seeded cases asserting that absorb
-    /// order and shard-partition choice never change the merged state —
-    /// the associativity/commutativity contract the sharded streaming
-    /// path relies on.
+    /// Seeded property sweep: 400 random subsets of the pool, each
+    /// absorbed once as drawn and once permuted, reach the same state —
+    /// the commutativity the fold's callers rely on.
     #[test]
     fn fold_order_and_shard_partition_never_change_merged_state() {
         let (web, pool, _config) = record_pool();
@@ -337,8 +316,7 @@ mod tests {
 
             let reference = fingerprint(&absorb_all(&subset, &web));
 
-            // (1) Commutativity: a random permutation absorbs to the
-            // same state.
+            // A random permutation absorbs to the same state.
             let mut permuted = subset.clone();
             for i in (1..permuted.len()).rev() {
                 let j = rng.below(i + 1);
@@ -348,26 +326,6 @@ mod tests {
             assert_eq!(
                 shuffled, reference,
                 "case {case}: permutation changed state"
-            );
-
-            // (2) Associativity: a random shard partition, merged in a
-            // random order, reaches the same state.
-            let shards = 1 + rng.below(4);
-            let mut parts: Vec<Vec<&SiteRecord>> = vec![Vec::new(); shards];
-            for r in &subset {
-                parts[rng.below(shards)].push(r);
-            }
-            let mut accs: Vec<CohortAccumulator> =
-                parts.iter().map(|p| absorb_all(p, &web)).collect();
-            let mut merged = CohortAccumulator::new();
-            while !accs.is_empty() {
-                let next = accs.remove(rng.below(accs.len()));
-                merged.merge(&next);
-            }
-            let sharded = fingerprint(&merged);
-            assert_eq!(
-                sharded, reference,
-                "case {case}: shard partition ({shards} shards) changed state"
             );
         }
     }

@@ -103,16 +103,6 @@ impl BiasAccounting {
         }
     }
 
-    /// Merges a sibling accumulator (disjoint site sets): plain sums.
-    pub fn merge(&mut self, other: &BiasAccounting) {
-        self.population += other.population;
-        for (&tier, &count) in &other.tiers {
-            *self.tiers.entry(tier).or_insert(0) += count;
-        }
-        self.full_fingerprinting += other.full_fingerprinting;
-        self.salvage_fingerprinting += other.salvage_fingerprinting;
-    }
-
     fn tier(&self, t: VisitFidelity) -> usize {
         self.tiers.get(&t).copied().unwrap_or(0)
     }

@@ -88,18 +88,6 @@ impl CoverageCounts {
             self.sites_any += 1;
         }
     }
-
-    /// Merges a sibling accumulator (disjoint site sets): plain sums.
-    pub fn merge(&mut self, other: &CoverageCounts) {
-        self.easylist += other.easylist;
-        self.easyprivacy += other.easyprivacy;
-        self.disconnect += other.disconnect;
-        self.any += other.any;
-        self.all += other.all;
-        self.total += other.total;
-        self.sites_any += other.sites_any;
-        self.sites_total += other.sites_total;
-    }
 }
 
 /// Computes Table 4 for one cohort's detections.

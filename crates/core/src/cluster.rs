@@ -90,11 +90,10 @@ impl Clustering {
     }
 }
 
-/// Streaming fold for [`Clustering`]: a mergeable map keyed by canvas
-/// bytes (data URL). Cluster membership is pure set union plus an
-/// extraction counter, so absorb order and shard partitioning never
-/// change the finished clustering.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Streaming fold for [`Clustering`]: a map keyed by canvas bytes (data
+/// URL). Cluster membership is pure set union plus an extraction
+/// counter, so absorb order never changes the finished clustering.
+#[derive(Debug, Clone, Default)]
 pub struct ClusterAccumulator {
     clusters: BTreeMap<String, Cluster>,
 }
@@ -116,26 +115,6 @@ impl ClusterAccumulator {
             entry.sites.insert(c.site.clone());
             entry.extractions += 1;
             entry.script_urls.insert(c.script_url.to_string());
-        }
-    }
-
-    /// Merges a sibling accumulator: union of sites and script URLs per
-    /// canvas, summed extraction counts.
-    pub fn merge(&mut self, other: &ClusterAccumulator) {
-        for (data_url, c) in &other.clusters {
-            let entry = self
-                .clusters
-                .entry(data_url.clone())
-                .or_insert_with(|| Cluster {
-                    hash: c.hash,
-                    data_url: c.data_url.clone(),
-                    sites: BTreeSet::new(),
-                    extractions: 0,
-                    script_urls: BTreeSet::new(),
-                });
-            entry.sites.extend(c.sites.iter().cloned());
-            entry.extractions += c.extractions;
-            entry.script_urls.extend(c.script_urls.iter().cloned());
         }
     }
 
@@ -314,18 +293,16 @@ mod tests {
             site("d.com", &["X", "X"]),
         ];
         let batch = Clustering::build(sites.iter());
-        let mut left = ClusterAccumulator::default();
-        left.absorb(&sites[3]);
-        left.absorb(&sites[0]);
-        let mut right = ClusterAccumulator::default();
-        right.absorb(&sites[2]);
-        right.absorb(&sites[1]);
-        left.merge(&right);
-        let merged = left.finish();
+        // Absorbing in a scrambled order finishes into the batch build.
+        let mut acc = ClusterAccumulator::default();
+        for i in [3, 0, 2, 1] {
+            acc.absorb(&sites[i]);
+        }
+        let streamed = acc.finish();
         assert_eq!(
-            serde_json::to_string(&merged.clusters).unwrap(),
+            serde_json::to_string(&streamed.clusters).unwrap(),
             serde_json::to_string(&batch.clusters).unwrap()
         );
-        assert_eq!(merged.find("X").unwrap().extractions, 4);
+        assert_eq!(streamed.find("X").unwrap().extractions, 4);
     }
 }

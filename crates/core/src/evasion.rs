@@ -96,17 +96,6 @@ impl EvasionStats {
             self.double_render_sites += 1;
         }
     }
-
-    /// Merges a sibling accumulator (disjoint site sets): plain sums.
-    pub fn merge(&mut self, other: &EvasionStats) {
-        self.fingerprinting_sites += other.fingerprinting_sites;
-        self.first_party_sites += other.first_party_sites;
-        self.subdomain_sites += other.subdomain_sites;
-        self.cdn_sites += other.cdn_sites;
-        self.cname_sites += other.cname_sites;
-        self.bundled_sites += other.bundled_sites;
-        self.double_render_sites += other.double_render_sites;
-    }
 }
 
 #[cfg(test)]

@@ -23,15 +23,15 @@
 //!   confusion matrix over unique script bodies plus per-vendor rows;
 //! * [`accumulate`] — constant-memory aggregation
 //!   ([`accumulate::CohortAccumulator`]): the one fold that turns a
-//!   cohort's visit records into its analysis, one record at a time and
-//!   mergeable across frontier shards, so million-site crawls never
-//!   materialize a dataset;
+//!   cohort's visit records into its analysis, one record at a time, so
+//!   million-site crawls never materialize a dataset;
 //! * [`study`] — the orchestrator that runs every crawl and produces all
 //!   tables and figures ([`study::run_study_streamed`], which streams the
-//!   control crawls through the accumulator in bounded chunks, or
-//!   [`study::run_study_supervised`] for the crash-tolerant path that
-//!   runs both control crawls under the leased shard supervisor with
-//!   injected process faults and proves the results unchanged).
+//!   control crawls through the accumulator in bounded chunks and touches
+//!   no disk, or [`study::run_study_supervised`] for the crash-tolerant
+//!   path that runs both control crawls under the leased shard
+//!   supervisor, the only code that spills records, with injected process
+//!   faults and proves the results unchanged).
 //!
 //! ```no_run
 //! use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions};

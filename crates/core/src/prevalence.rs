@@ -68,11 +68,10 @@ impl Prevalence {
 }
 
 /// Streaming fold for [`Prevalence`]: absorbs one detection at a time,
-/// merges with sibling accumulators in any order, and finishes into the
-/// exact batch result. The per-fingerprinting-site canvas counts are held
+/// in any order, and finishes into the exact batch result. The per-fingerprinting-site canvas counts are held
 /// as a histogram (count → sites), so memory is bounded by the number of
 /// *distinct* canvas counts, not the number of sites.
-#[derive(Debug, Clone, Default, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct PrevalenceAccumulator {
     successes: usize,
     fingerprinting_sites: usize,
@@ -118,23 +117,6 @@ impl PrevalenceAccumulator {
         }
         if small_here {
             self.small_canvas_sites += 1;
-        }
-    }
-
-    /// Merges a sibling accumulator (e.g. from another frontier shard).
-    pub fn merge(&mut self, other: &PrevalenceAccumulator) {
-        self.successes += other.successes;
-        self.fingerprinting_sites += other.fingerprinting_sites;
-        self.fully_excluded_sites += other.fully_excluded_sites;
-        self.total_extractions += other.total_extractions;
-        self.fingerprintable_extractions += other.fingerprintable_extractions;
-        self.excluded_by_reason.0 += other.excluded_by_reason.0;
-        self.excluded_by_reason.1 += other.excluded_by_reason.1;
-        self.excluded_by_reason.2 += other.excluded_by_reason.2;
-        self.lossy_probe_sites += other.lossy_probe_sites;
-        self.small_canvas_sites += other.small_canvas_sites;
-        for (&count, &sites) in &other.canvas_histogram {
-            *self.canvas_histogram.entry(count).or_insert(0) += sites;
         }
     }
 
@@ -273,20 +255,14 @@ mod tests {
             SiteDetection::default(),
         ];
         let batch = Prevalence::compute(&detections, 12);
-        // Split across two shards, absorb in reversed order, then merge.
-        let (left, right) = detections.split_at(3);
-        let mut a = PrevalenceAccumulator::default();
-        for d in left.iter().rev() {
-            a.absorb(d);
+        // Absorbing in reversed order finishes into the batch result.
+        let mut acc = PrevalenceAccumulator::default();
+        for d in detections.iter().rev() {
+            acc.absorb(d);
         }
-        let mut b = PrevalenceAccumulator::default();
-        for d in right.iter().rev() {
-            b.absorb(d);
-        }
-        b.merge(&a);
-        let merged = b.finish(12);
+        let streamed = acc.finish(12);
         assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
+            serde_json::to_string(&streamed).unwrap(),
             serde_json::to_string(&batch).unwrap()
         );
     }

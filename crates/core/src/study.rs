@@ -1,12 +1,19 @@
 //! The end-to-end study pipeline: crawl → detect → cluster → attribute →
 //! analyze, producing every table and figure of the paper from a
 //! [`SyntheticWeb`].
+//!
+//! Two runners share everything downstream of the two control crawls:
+//! [`run_study_streamed`] folds each control crawl into a
+//! [`CohortAccumulator`] as it streams and touches no disk;
+//! [`run_study_supervised`] runs them under the shard supervisor, which
+//! spills segment files and merges them back, and folds the merged
+//! datasets through the same accumulator.
 
 use canvassing_blocklist::{DisconnectList, FilterList};
 use canvassing_browser::AdBlockerKind;
 use canvassing_crawler::{
-    crawl, crawl_streamed_range_until, supervise_crawl, CrawlConfig, CrawlStats, FailureKind,
-    FaultScript, SegmentWriter, SupervisionReport, SupervisorConfig,
+    crawl, crawl_streamed, supervise_crawl, CrawlConfig, CrawlStats, FailureKind, FaultScript,
+    SupervisionReport, SupervisorConfig,
 };
 use canvassing_raster::DeviceProfile;
 use canvassing_webgen::{Cohort, SyntheticWeb};
@@ -189,36 +196,24 @@ fn fingerprinting_sites(detections: &[SiteDetection]) -> usize {
     detections.iter().filter(|d| d.is_fingerprinting()).count()
 }
 
-/// How [`run_study_streamed`] bounds memory and (optionally) spills.
+/// How [`run_study_streamed`] bounds memory. Spilling records to disk is
+/// the shard supervisor's job ([`run_study_supervised`]).
 #[derive(Debug, Clone)]
 pub struct StreamingOptions {
     /// Sites in flight per scheduler chunk — the working-set bound.
     pub chunk_sites: usize,
-    /// Records per spilled segment file.
-    pub segment_sites: usize,
-    /// Spill directory: when set, every control-crawl record is also
-    /// appended to CRC-framed segment files under
-    /// `<dir>/popular` / `<dir>/tail`, mergeable back into a full
-    /// dataset with [`canvassing_crawler::merge_segments`]. To spread a
-    /// cohort over several processes, run
-    /// [`canvassing_crawler::crawl_shard_to_segments`] per shard instead.
-    pub spill_dir: Option<std::path::PathBuf>,
 }
 
 impl Default for StreamingOptions {
     fn default() -> Self {
-        StreamingOptions {
-            chunk_sites: 512,
-            segment_sites: 4096,
-            spill_dir: None,
-        }
+        StreamingOptions { chunk_sites: 512 }
     }
 }
 
-/// Streams one cohort's control crawl through a [`CohortAccumulator`],
-/// optionally spilling records to bounded segments, and finishes into a
-/// cohort analysis. Memory is bounded by `chunk_sites` plus the
-/// accumulator's fingerprinting-site state — never the cohort size.
+/// Streams one cohort's control crawl through a [`CohortAccumulator`] and
+/// finishes into a cohort analysis. Memory is bounded by `chunk_sites`
+/// plus the accumulator's fingerprinting-site state — never the cohort
+/// size.
 #[allow(clippy::too_many_arguments)]
 fn stream_cohort(
     web: &SyntheticWeb,
@@ -229,55 +224,19 @@ fn stream_cohort(
     easyprivacy: &FilterList,
     disconnect: &DisconnectList,
     streaming: &StreamingOptions,
-) -> std::io::Result<CohortAnalysis> {
-    let caches = config.build_caches();
+) -> CohortAnalysis {
     let mut acc = CohortAccumulator::new();
-    let mut writer = match &streaming.spill_dir {
-        Some(dir) => Some(SegmentWriter::create(
-            &dir.join(cohort_dir(cohort)),
-            &config.label,
-            &config.device.id,
-            0,
-            streaming.segment_sites,
-        )?),
-        None => None,
-    };
-    let mut io_err: Option<std::io::Error> = None;
-    let perf = crawl_streamed_range_until(
+    let perf = crawl_streamed(
         &web.network,
         frontier,
         config,
-        &caches,
-        0..frontier.len(),
+        &config.build_caches(),
         streaming.chunk_sites,
-        |_, record| {
-            // Spill before absorbing: a record the segment files will
-            // never durably hold must not reach the accumulator either,
-            // or the streamed analysis and the spilled dataset diverge.
-            if let Some(w) = writer.as_mut() {
-                if let Err(e) = w.append(&record) {
-                    io_err = Some(e);
-                    return std::ops::ControlFlow::Break(());
-                }
-            }
-            acc.absorb(&record, easylist, easyprivacy, disconnect);
-            std::ops::ControlFlow::Continue(())
-        },
+        |_, record| acc.absorb(&record, easylist, easyprivacy, disconnect),
     );
-    if let Some(e) = io_err {
-        // Abort, don't limp: drop the unsealed partial segment so the
-        // spill directory holds only complete, sealed segments.
-        if let Some(w) = writer {
-            w.abort().ok();
-        }
-        return Err(e);
-    }
-    if let Some(w) = writer {
-        w.finish()?;
-    }
     let mut analysis = finish_cohort(&acc, cohort, web, frontier);
     analysis.perf = perf;
-    Ok(analysis)
+    analysis
 }
 
 /// The tail of every control-cohort analysis, streamed or supervised:
@@ -293,7 +252,7 @@ fn finish_cohort(
     analysis
 }
 
-/// The per-cohort subdirectory of a spill directory.
+/// The per-cohort subdirectory of a supervised spill directory.
 fn cohort_dir(cohort: Cohort) -> &'static str {
     match cohort {
         Cohort::Popular => "popular",
@@ -302,16 +261,17 @@ fn cohort_dir(cohort: Cohort) -> &'static str {
 }
 
 /// Runs the full study against a synthetic web. The two control crawls
-/// stream through [`CohortAccumulator`]s in bounded chunks (optionally
-/// spilling to segment files), so no cohort's visits are ever held in
-/// memory at once; the optional re-crawls (Table 2, M1 validation, E13)
-/// run [`crawl`] and keep only their detections.
+/// stream through [`CohortAccumulator`]s in bounded chunks, so no
+/// cohort's visits are ever held in memory at once; the optional
+/// re-crawls (Table 2, M1 validation, E13) run [`crawl`] and keep only
+/// their detections.
 ///
 /// The accumulator folds are exact: `CohortAnalysis::detections` keeps
 /// fingerprinting sites only, and everything the report and downstream
 /// analyses read is preserved (`tests/golden_report.rs` and
-/// `tests/streaming_equivalence.rs` pin the rendered bytes). Errors only
-/// on spill I/O; with `spill_dir: None` it is infallible in practice.
+/// `tests/streaming_equivalence.rs` pin the rendered bytes). The study
+/// touches no disk, so it never fails: the `Result` is kept only so
+/// existing callers compile unchanged, and is always `Ok`.
 pub fn run_study_streamed(
     web: &SyntheticWeb,
     options: &StudyOptions,
@@ -342,8 +302,8 @@ pub fn run_study_streamed(
             streaming,
         )
     };
-    let popular = analyze(Cohort::Popular, &popular_frontier)?;
-    let tail = analyze(Cohort::Tail, &tail_frontier)?;
+    let popular = analyze(Cohort::Popular, &popular_frontier);
+    let tail = analyze(Cohort::Tail, &tail_frontier);
 
     Ok(finish_study(
         web,

@@ -123,9 +123,9 @@ pub fn cross_validate(dataset: &CrawlDataset, detections: &[SiteDetection]) -> C
 /// Streaming fold for [`cross_validate`]: per unique script body, the
 /// static verdict and whether the dynamic detector fired anywhere. The
 /// verdict is a pure function of the body (any occurrence serves) and the
-/// dynamic bit ORs across sites, so absorb order and shard partitioning
-/// never change the finished matrix.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// dynamic bit ORs across sites, so absorb order never changes the
+/// finished matrix.
+#[derive(Debug, Clone, Default)]
 pub struct ScriptVotes {
     /// hash → (static verdict, dynamically detected anywhere).
     votes: BTreeMap<u64, (Verdict, bool)>,
@@ -144,14 +144,6 @@ impl ScriptVotes {
                 .entry(script.source_hash)
                 .or_insert((verdict, false));
             entry.1 |= fired.contains(&script.url);
-        }
-    }
-
-    /// Merges a sibling accumulator: OR of the dynamic bits per body.
-    pub fn merge(&mut self, other: &ScriptVotes) {
-        for (&hash, &(verdict, fired)) in &other.votes {
-            let entry = self.votes.entry(hash).or_insert((verdict, false));
-            entry.1 |= fired;
         }
     }
 

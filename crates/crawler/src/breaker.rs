@@ -33,7 +33,7 @@
 //! all references of one visit see the snapshot taken before the visit,
 //! and the charges they generate apply afterwards. This keeps the
 //! per-visit open-host set well defined (and identical between the plan
-//! and [`crate::visit_site`]'s behavior).
+//! and `visit_site`'s behavior).
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -20,10 +20,12 @@
 //! ```
 //!
 //! Every record line is `<crc32 of the JSON, 8 hex chars> <record JSON>`.
-//! The CRC (IEEE 802.3 polynomial, hand-rolled — no new dependencies)
-//! makes torn or bit-flipped tails detectable: [`recover`] walks the file,
-//! keeps the longest valid prefix, truncates the file back to it, and
-//! returns the prefix as a [`CrawlDataset`]. Because records are written
+//! The CRC is the PNG encoder's ([`canvassing_raster::png::crc32`]: IEEE
+//! 802.3, the polynomial zlib and PNG use, so checkpoint files are
+//! checkable with stock tooling) and makes torn or bit-flipped tails
+//! detectable: [`recover`] walks the file, keeps the longest valid
+//! prefix, truncates the file back to it, and returns the prefix as a
+//! [`CrawlDataset`]. Because records are written
 //! in frontier order and [`crate::resume_crawl`] is keyed by URL, a
 //! recovered prefix resumed over the same frontier merges byte-identical
 //! to a fault-free crawl — the property `tests/checkpoint_recovery.rs`
@@ -40,24 +42,10 @@ use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use canvassing_net::{Fault, FaultPlan};
+use canvassing_raster::png::crc32;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{CrawlDataset, SiteRecord};
-
-/// CRC32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the same
-/// polynomial zlib/PNG use, so checkpoint files are checkable with stock
-/// tooling.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// First line of every checkpoint file.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -331,13 +319,6 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("canvassing-ckpt-{}-{name}", std::process::id()));
         p
-    }
-
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

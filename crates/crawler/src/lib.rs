@@ -6,17 +6,18 @@
 //! extension, optional canvas defense), every site visited once, failures
 //! recorded rather than retried away.
 //!
-//! Every contiguous-range crawl runs through one loop,
-//! [`crawl_streamed_range_until`]: it cuts a frontier range into chunks
-//! and hands each chunk to a shared-queue scheduler, one atomic cursor
-//! that every worker claims jobs from (lock-free work sharing), so a
-//! latency-spiked host delays only the worker that is on it — the rest of
-//! the fleet drains the remaining chunk. Records reach the caller's sink
-//! in frontier order; [`crawl`] collects them into a [`CrawlDataset`],
-//! streaming callers fold them as they arrive. Two paths visit sites
-//! outside that loop: [`resume_crawl`] hands its non-contiguous todo
-//! indices straight to the chunk scheduler, and the shard supervisor
-//! visits one site at a time through [`SiteCrawler`]. Each
+//! Every whole-frontier crawl runs through one loop, [`crawl_streamed`]:
+//! it cuts the frontier into chunks and hands each chunk to a
+//! shared-queue scheduler, one atomic cursor that every worker claims
+//! jobs from (lock-free work sharing), so a latency-spiked host delays
+//! only the worker that is on it — the rest of the fleet drains the
+//! remaining chunk. Records reach the caller's sink in frontier order;
+//! [`crawl`] collects them into a [`CrawlDataset`], streaming callers
+//! fold them as they arrive. Two paths visit sites outside that loop:
+//! [`resume_crawl`] hands its non-contiguous todo indices straight to the
+//! chunk scheduler, and the shard supervisor ([`supervise_crawl`]), the
+//! only code that shards a frontier or spills records to disk, visits
+//! one site at a time through [`SiteCrawler`]. Each
 //! [`SiteRecord`] is a pure function of `(network, url, config)`, so
 //! datasets are byte-identical regardless of scheduling, chunk size or
 //! worker count. Workers share a [`CrawlCaches`] (compiled-script cache
@@ -57,7 +58,6 @@ pub mod segment;
 pub mod supervisor;
 
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -74,10 +74,7 @@ use serde::{Deserialize, Serialize};
 pub use breaker::{BreakerEvent, BreakerHostStats, BreakerPlan, BreakerPolicy};
 pub use checkpoint::{recover, save_atomic, CheckpointWriter, RecoveryReport};
 pub use dataset::{CrawlDataset, FailureKind, SiteFailure, SiteOutcome, SiteRecord, VisitFidelity};
-pub use segment::{
-    crawl_shard_to_segments, list_segments, list_segments_traced, merge_segments, MergeReport,
-    SegmentWriter,
-};
+pub use segment::{MergeReport, SegmentWriter};
 pub use supervisor::{
     lease_path, list_supervised_segments, merge_supervised, read_lease, supervise_crawl,
     FaultScript, Lease, SpeculationPolicy, SupervisionReport, SupervisorConfig, WorkerFault,
@@ -276,7 +273,7 @@ impl CrawlConfig {
 
     /// Builds the crawl-wide shared caches this config calls for. The
     /// buffer pool is deliberately absent here — pools are per-worker
-    /// (see [`CrawlConfig::worker_caches`]) so workers recycle without
+    /// (see `CrawlConfig::worker_caches`) so workers recycle without
     /// contending.
     pub fn build_caches(&self) -> CrawlCaches {
         let enabled = self.caching.enabled;
@@ -555,8 +552,8 @@ pub fn crawl_with_stats(
 /// workloads (re-crawls, warm benchmark passes) skip work the caches
 /// already hold. The returned stats cover only this crawl's span.
 ///
-/// This is [`crawl_streamed_range_until`] over the whole frontier as one
-/// chunk, with a sink that collects the records.
+/// This is [`crawl_streamed`] run as one whole-frontier chunk, with a
+/// sink that collects the records.
 pub fn crawl_with_caches(
     network: &Network,
     frontier: &[Url],
@@ -564,17 +561,13 @@ pub fn crawl_with_caches(
     caches: &CrawlCaches,
 ) -> (CrawlDataset, CrawlStats) {
     let mut records = Vec::with_capacity(frontier.len());
-    let stats = crawl_streamed_range_until(
+    let stats = crawl_streamed(
         network,
         frontier,
         config,
         caches,
-        0..frontier.len(),
         frontier.len(),
-        |_, record| {
-            records.push(record);
-            ControlFlow::Continue(())
-        },
+        |_, record| records.push(record),
     );
     let dataset = CrawlDataset {
         label: config.label.clone(),
@@ -588,8 +581,8 @@ pub fn crawl_with_caches(
 /// **densely** (position `j` holds the record for `frontier[indices[j]]`).
 /// This is the scheduler core under every crawl entry point: slot
 /// storage is sized to the chunk, not the frontier, so
-/// [`crawl_streamed_range_until`] can drive a million-site frontier
-/// through fixed-size chunks.
+/// [`crawl_streamed`] can drive a million-site frontier through
+/// fixed-size chunks.
 ///
 /// Scheduling is one atomic cursor over the chunk: each worker claims
 /// the next unclaimed position with a single `fetch_add`. Unlike static
@@ -671,63 +664,52 @@ fn crawl_chunk(
 
 /// The contiguous frontier range owned by shard `shard` of `count`:
 /// `[shard·len/count, (shard+1)·len/count)`. The ranges partition
-/// `0..len` exactly, so N independent shard crawls cover every site once.
+/// `0..len` exactly, so the supervisor's shard owners
+/// ([`supervise_crawl`]) cover every site once.
 pub fn shard_range(len: usize, shard: usize, count: usize) -> std::ops::Range<usize> {
     let count = count.max(1);
     debug_assert!(shard < count, "shard {shard} out of {count}");
     (shard * len / count)..((shard + 1) * len / count)
 }
 
-/// Streams a crawl over `range` of the frontier in bounded chunks of
+/// Streams a crawl over the whole frontier in bounded chunks of
 /// `chunk_sites`, delivering each record to `sink` as
 /// `(frontier_index, record)` in frontier order — records are **not**
 /// materialized into a dataset, so peak memory is O(chunk), independent
-/// of frontier length. This is the one contiguous-range crawl loop:
+/// of frontier length. This is the one chunked crawl loop:
 /// [`crawl_with_caches`] runs it as a single chunk with a collecting
-/// sink, [`crawl_streamed`] over the whole frontier,
-/// [`crawl_shard_to_segments`] over one shard.
-///
-/// The sink can abort: returning [`ControlFlow::Break`] stops the crawl
-/// immediately — no further sites are visited, so a sink that can no
-/// longer persist records (a spill I/O error, a fenced lease) does not
-/// burn the rest of the range crawling into the void.
+/// sink, and the study folds each cohort through it.
 ///
 /// Determinism contract:
 ///
-/// * the breaker plan is computed over the **full** frontier, so chunk
-///   boundaries and shard choice never reach breaker state;
+/// * the breaker plan is computed over the full frontier, so chunk
+///   boundaries never reach breaker state;
 /// * each record is a pure function of `(network, url, config)`, so the
 ///   delivered stream is byte-identical at any worker count and chunk
 ///   size;
 /// * traces flush to `config.trace` per chunk, in frontier order, from
-///   the calling thread — the sink sees the exact stream a whole-frontier
+///   the calling thread — the sink sees the exact stream a single-chunk
 ///   crawl delivers.
 ///
-/// The returned stats count the records actually delivered to the sink
-/// (`sites == range.len()` on an uninterrupted run), with cache counters
-/// measured across the chunks as one span. Breaker totals are whole-plan
-/// numbers and are reported only when `range` covers the full frontier;
-/// per-shard callers should take them from the merged run instead of
-/// summing shards.
-pub fn crawl_streamed_range_until(
+/// The returned stats count the records delivered (`sites ==
+/// frontier.len()`), with cache counters measured across the chunks as
+/// one span and the breaker plan's whole-frontier totals.
+pub fn crawl_streamed(
     network: &Network,
     frontier: &[Url],
     config: &CrawlConfig,
     caches: &CrawlCaches,
-    range: std::ops::Range<usize>,
     chunk_sites: usize,
-    mut sink: impl FnMut(usize, SiteRecord) -> ControlFlow<()>,
+    mut sink: impl FnMut(usize, SiteRecord),
 ) -> CrawlStats {
     let before = CrawlStats::snapshot(caches);
     let plan = BreakerPlan::plan(network, frontier, config);
     let chunk = chunk_sites.max(1);
-    let full = range.start == 0 && range.end == frontier.len();
-    let mut delivered = 0u64;
     let mut trace_totals = (0u64, 0u64, 0u64);
     let mut salvaged = 0u64;
-    let mut start = range.start;
-    'chunks: while start < range.end {
-        let end = (start + chunk).min(range.end);
+    let mut start = 0;
+    while start < frontier.len() {
+        let end = (start + chunk).min(frontier.len());
         let indices: Vec<usize> = (start..end).collect();
         let (records, traces) =
             crawl_chunk(network, frontier, config, &indices, caches, plan.as_ref());
@@ -739,49 +721,19 @@ pub fn crawl_streamed_range_until(
             if matches!(&record.outcome, SiteOutcome::Failure(f) if f.salvage.is_some()) {
                 salvaged += 1;
             }
-            delivered += 1;
-            if sink(start + offset, record).is_break() {
-                break 'chunks;
-            }
+            sink(start + offset, record);
         }
         start = end;
     }
     let mut stats = CrawlStats::snapshot(caches).since(&before);
-    stats.sites = delivered;
+    stats.sites = frontier.len() as u64;
     (stats.trace_visits, stats.trace_spans, stats.trace_events) = trace_totals;
-    if full {
-        if let Some(plan) = &plan {
-            stats.breaker_opens = plan.total_opens();
-            stats.breaker_short_circuits = plan.total_short_circuits();
-        }
+    if let Some(plan) = &plan {
+        stats.breaker_opens = plan.total_opens();
+        stats.breaker_short_circuits = plan.total_short_circuits();
     }
     stats.salvaged_visits = salvaged;
     stats
-}
-
-/// [`crawl_streamed_range_until`] over the whole frontier with a sink
-/// that never aborts: the streaming counterpart of [`crawl_with_caches`]
-/// when the caller folds records instead of materializing a dataset.
-pub fn crawl_streamed(
-    network: &Network,
-    frontier: &[Url],
-    config: &CrawlConfig,
-    caches: &CrawlCaches,
-    chunk_sites: usize,
-    mut sink: impl FnMut(usize, SiteRecord),
-) -> CrawlStats {
-    crawl_streamed_range_until(
-        network,
-        frontier,
-        config,
-        caches,
-        0..frontier.len(),
-        chunk_sites,
-        |index, record| {
-            sink(index, record);
-            ControlFlow::Continue(())
-        },
-    )
 }
 
 /// Delivers finished visit traces to the configured sink, in frontier

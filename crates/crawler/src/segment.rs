@@ -1,34 +1,30 @@
-//! Sharded segment spill for million-site crawls.
+//! Bounded segment files: the on-disk form of a supervised crawl's spill.
 //!
-//! The checkpoint layer (PR 2) persists one append-only file per crawl;
-//! at scale 25 (1M sites) a single file and a single in-memory dataset
-//! both stop working. This module splits the durable story two ways:
+//! The shard supervisor ([`crate::supervise_crawl`]) cuts the frontier
+//! into contiguous shards ([`crate::shard_range`]) and each shard owner
+//! spills its records through a [`SegmentWriter`] into *bounded* segment
+//! files of at most `segment_sites` records each, so no file grows with
+//! the frontier.
 //!
-//! * **shards** — the frontier is cut into `count` contiguous ranges
-//!   ([`crate::shard_range`]); each shard is crawled independently (in
-//!   this process or N separate ones) and owns its own files;
-//! * **segments** — within a shard, records spill into *bounded* segment
-//!   files of at most `segment_sites` records each, so no file grows
-//!   with the frontier.
-//!
-//! Every segment is a complete, self-describing checkpoint in the PR-2
+//! Every segment is a complete, self-describing checkpoint in the
 //! CRC-framed v2 format — [`crate::checkpoint::recover`] works on any
 //! segment unchanged, and a torn tail in one segment loses at most that
-//! segment's suffix. Filenames embed shard and sequence
-//! (`shard003-seg00007.ckpt`) so a lexicographic sort of the spill
-//! directory reconstructs global frontier order without any manifest.
+//! segment's suffix. File names embed shard, lease epoch and sequence
+//! (`shard003-e0002-seg00007.ckpt`), so re-leased and speculative owners
+//! of one shard never collide on a file, and a lexicographic sort of the
+//! spill directory is `(shard, epoch, seq)` order without any manifest.
 //!
-//! [`merge_segments`] recovers every segment, concatenates the valid
-//! prefixes, and hands the union to [`crate::resume_crawl`] — which
-//! recrawls whatever the spill lost and, because the breaker plan is
-//! always computed over the *full* frontier, produces a dataset
-//! byte-identical to a single uninterrupted `workers = 1` crawl. That
-//! identity is the merge's proof obligation and what
-//! `tests/streaming_equivalence.rs` and `tests/checkpoint_recovery.rs`
-//! sweep.
+//! The merge ([`crate::merge_supervised`]) recovers every segment,
+//! deduplicates the valid prefixes by site, and hands the union to
+//! [`crate::resume_crawl`] — which recrawls whatever the spill lost and,
+//! because the breaker plan is always computed over the *full* frontier,
+//! produces a dataset byte-identical to a single uninterrupted crawl.
+//! That identity is the merge's proof obligation and what
+//! `tests/streaming_equivalence.rs`, `tests/checkpoint_recovery.rs` and
+//! `tests/supervisor_chaos.rs` sweep.
 
 use std::fs;
-use std::io;
+use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -37,11 +33,11 @@ use canvassing_trace::{TraceSink, VisitRecorder};
 
 use crate::checkpoint::{recover, CheckpointWriter};
 use crate::dataset::{CrawlDataset, SiteRecord};
-use crate::{crawl_streamed_range_until, resume_crawl, shard_range, CrawlConfig};
+use crate::{resume_crawl, CrawlConfig};
 
 /// Rolls visit records into bounded CRC-framed segment files.
 ///
-/// Each segment is a standalone PR-2 checkpoint holding at most
+/// Each segment is a standalone v2 checkpoint holding at most
 /// `segment_sites` records; when one fills, it is sealed and the next
 /// opens. The writer never holds more than the current segment's file
 /// handle — memory is constant in the number of records spilled.
@@ -50,11 +46,10 @@ pub struct SegmentWriter {
     label: String,
     device_id: String,
     shard: usize,
-    /// Lease epoch for supervised spills: when set, segment names carry
-    /// it (`shard003-e0002-seg00007.ckpt`) so re-leased and speculative
-    /// owners of the same shard never collide on a file. `None` is the
-    /// unsupervised scheme [`list_segments`] recognises.
-    epoch: Option<u64>,
+    /// Lease epoch of the owner writing these segments, part of every
+    /// segment name (`shard003-e0002-seg00007.ckpt`) so re-leased and
+    /// speculative owners of the same shard never collide on a file.
+    epoch: u64,
     segment_sites: usize,
     seq: usize,
     current: Option<CheckpointWriter>,
@@ -70,6 +65,7 @@ impl std::fmt::Debug for SegmentWriter {
         f.debug_struct("SegmentWriter")
             .field("dir", &self.dir)
             .field("shard", &self.shard)
+            .field("epoch", &self.epoch)
             .field("segment_sites", &self.segment_sites)
             .field("seq", &self.seq)
             .field("sealed", &self.sealed.len())
@@ -79,7 +75,8 @@ impl std::fmt::Debug for SegmentWriter {
 
 impl SegmentWriter {
     /// Creates a writer spilling into `dir` (created if absent) for one
-    /// frontier shard. `segment_sites` is clamped to at least 1.
+    /// frontier shard, at epoch 0 until [`SegmentWriter::with_epoch`]
+    /// sets one. `segment_sites` is clamped to at least 1.
     pub fn create(
         dir: &Path,
         label: &str,
@@ -93,7 +90,7 @@ impl SegmentWriter {
             label: label.to_string(),
             device_id: device_id.to_string(),
             shard,
-            epoch: None,
+            epoch: 0,
             segment_sites: segment_sites.max(1),
             seq: 0,
             current: None,
@@ -102,12 +99,9 @@ impl SegmentWriter {
         })
     }
 
-    /// Switches to epoch-qualified segment names for supervised spills.
-    /// Epoch-qualified files are deliberately invisible to
-    /// [`list_segments`]; [`crate::supervisor::merge_supervised`] owns
-    /// them.
+    /// Sets the lease epoch the segment names carry.
     pub fn with_epoch(mut self, epoch: u64) -> SegmentWriter {
-        self.epoch = Some(epoch);
+        self.epoch = epoch;
         self
     }
 
@@ -119,59 +113,45 @@ impl SegmentWriter {
         self
     }
 
-    fn segment_path(&self, seq: usize) -> PathBuf {
-        self.dir.join(match self.epoch {
-            Some(epoch) => format!("shard{:03}-e{:04}-seg{:05}.ckpt", self.shard, epoch, seq),
-            None => format!("shard{:03}-seg{:05}.ckpt", self.shard, seq),
-        })
+    /// The open segment, opening the next one when none is open.
+    fn open(&mut self) -> io::Result<&mut CheckpointWriter> {
+        if self.current.is_none() {
+            let name = format!(
+                "shard{:03}-e{:04}-seg{:05}.ckpt",
+                self.shard, self.epoch, self.seq
+            );
+            let writer =
+                CheckpointWriter::create(&self.dir.join(name), &self.label, &self.device_id)?;
+            self.current = Some(writer);
+        }
+        Ok(self
+            .current
+            .as_mut()
+            .unwrap_or_else(|| unreachable!("segment opened above")))
     }
 
     /// Appends one record, opening a fresh segment when none is open and
     /// sealing it once it holds `segment_sites` records.
     pub fn append(&mut self, record: &SiteRecord) -> io::Result<()> {
-        if self.current.is_none() {
-            let path = self.segment_path(self.seq);
-            self.current = Some(CheckpointWriter::create(
-                &path,
-                &self.label,
-                &self.device_id,
-            )?);
-        }
-        let full = {
-            let writer = self
-                .current
-                .as_mut()
-                .unwrap_or_else(|| unreachable!("segment opened above"));
-            writer.append(record)?;
-            writer.records_written() >= self.segment_sites
-        };
-        if full {
-            self.seal("segment.seal")?;
+        let limit = self.segment_sites;
+        let writer = self.open()?;
+        writer.append(record)?;
+        if writer.records_written() >= limit {
+            self.seal("segment.seal");
         }
         Ok(())
     }
 
-    fn seal(&mut self, instant: &'static str) -> io::Result<()> {
+    fn seal(&mut self, instant: &'static str) {
         if let Some(writer) = self.current.take() {
             let records = writer.records_written();
             let path = writer.path().to_path_buf();
             drop(writer);
-            self.emit(instant, &path, records);
+            emit_spill_instant(self.trace.as_ref(), &self.label, instant, || {
+                format!("{} records={records}", path.display())
+            });
             self.sealed.push(path);
             self.seq += 1;
-        }
-        Ok(())
-    }
-
-    fn emit(&self, instant: &'static str, path: &Path, records: usize) {
-        if let Some(sink) = &self.trace {
-            if sink.enabled() {
-                let recorder = VisitRecorder::new(&self.label, None);
-                recorder.instant(instant, || format!("{} records={records}", path.display()));
-                if let Some(trace) = recorder.finish() {
-                    sink.consume(trace);
-                }
-            }
         }
     }
 
@@ -187,7 +167,7 @@ impl SegmentWriter {
     /// by `unsealed_segment_from_dropped_writer_is_recoverable` below
     /// and is what supervised re-leases resume from.
     pub fn finish(mut self) -> io::Result<Vec<PathBuf>> {
-        self.seal("segment.finish")?;
+        self.seal("segment.finish");
         Ok(std::mem::take(&mut self.sealed))
     }
 
@@ -198,59 +178,16 @@ impl SegmentWriter {
     /// [`crate::checkpoint::recover`] is built to clean up. Supervisor
     /// fault injection only; a real crash needs no help.
     pub fn crash(&mut self, record: &SiteRecord) -> io::Result<()> {
-        if self.current.is_none() {
-            let path = self.segment_path(self.seq);
-            self.current = Some(CheckpointWriter::create(
-                &path,
-                &self.label,
-                &self.device_id,
-            )?);
-        }
-        let writer = self
-            .current
-            .as_mut()
-            .unwrap_or_else(|| unreachable!("segment opened above"));
-        writer.tear(record)?;
+        self.open()?.tear(record)?;
         self.current = None;
         Ok(())
     }
-
-    /// Aborts the spill: the current *unsealed* segment file is removed
-    /// (a half-written segment that will never be sealed must not
-    /// pollute a later merge) and the sealed segments — all complete and
-    /// mergeable — are returned. This is the error path of
-    /// [`crawl_shard_to_segments`]; a `segment.abort` instant records
-    /// the removal on the spill sink.
-    pub fn abort(mut self) -> io::Result<Vec<PathBuf>> {
-        if let Some(writer) = self.current.take() {
-            let records = writer.records_written();
-            let path = writer.path().to_path_buf();
-            drop(writer);
-            fs::remove_file(&path)?;
-            self.emit("segment.abort", &path, records);
-        }
-        Ok(std::mem::take(&mut self.sealed))
-    }
 }
 
-/// Parses a canonical unsupervised segment file name —
-/// `shard{NNN}-seg{NNNNN}.ckpt`, zero-padded to at least 3 and 5 digits
-/// but open-ended above that — into `(shard, seq)`. Anything else
-/// (lease files, `.tmp` rename leftovers, supervised epoch-qualified
-/// segments, foreign checkpoints) is not a segment.
-pub(crate) fn parse_segment_name(name: &str) -> Option<(usize, usize)> {
-    let rest = name.strip_suffix(".ckpt")?;
-    let rest = rest.strip_prefix("shard")?;
-    let (shard, seq) = rest.split_once("-seg")?;
-    Some((parse_padded(shard, 3)?, parse_padded(seq, 5)?))
-}
-
-/// Parses a supervised, epoch-qualified segment file name —
-/// `shard{NNN}-e{EEEE}-seg{NNNNN}.ckpt` — into `(shard, epoch, seq)`.
-/// The supervised scheme is deliberately disjoint from the canonical
-/// one: [`list_segments`] never sees supervised segments and
-/// [`crate::supervisor::list_supervised_segments`] never sees
-/// unsupervised ones, so the two merge paths cannot double-read a file.
+/// Parses a segment file name — `shard{NNN}-e{EEEE}-seg{NNNNN}.ckpt`,
+/// zero-padded to at least 3, 4 and 5 digits but open-ended above that —
+/// into `(shard, epoch, seq)`. Anything else (lease files, `.tmp` rename
+/// leftovers, foreign checkpoints) is not a segment.
 pub(crate) fn parse_supervised_name(name: &str) -> Option<(usize, u64, usize)> {
     let rest = name.strip_suffix(".ckpt")?;
     let rest = rest.strip_prefix("shard")?;
@@ -264,54 +201,42 @@ pub(crate) fn parse_supervised_name(name: &str) -> Option<(usize, u64, usize)> {
 }
 
 /// A zero-padded decimal field: all digits, at least `min_len` of them.
-pub(crate) fn parse_padded(digits: &str, min_len: usize) -> Option<usize> {
+fn parse_padded(digits: &str, min_len: usize) -> Option<usize> {
     if digits.len() < min_len || !digits.bytes().all(|b| b.is_ascii_digit()) {
         return None;
     }
     digits.parse().ok()
 }
 
-/// Lists every canonical segment file (`shard{NNN}-seg{NNNNN}.ckpt`) in
-/// `dir`, sorted by file name — which, given the zero-padded scheme, is
-/// global frontier order across all shards. Files that do not match the
-/// canonical name are skipped, so stray checkpoints, lease files, or
-/// supervised epoch-qualified segments can never corrupt merge order.
-pub fn list_segments(dir: &Path) -> io::Result<Vec<PathBuf>> {
-    list_segments_traced(dir, None)
-}
-
-/// [`list_segments`] with spill-side observability: every skipped file
-/// is recorded as a `segment.skip` instant on `trace`.
-pub fn list_segments_traced(
-    dir: &Path,
-    trace: Option<&Arc<dyn TraceSink>>,
-) -> io::Result<Vec<PathBuf>> {
-    let mut segments = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if parse_segment_name(name).is_some() && path.is_file() {
-            segments.push(path);
-        } else if path.is_file() {
-            emit_spill_instant(trace, "segments", "segment.skip", || {
-                format!("{} not a canonical segment name", path.display())
-            });
-        }
+/// Recovers one segment for the merge and the supervisor's coverage
+/// scan: the records of [`recover`]'s valid prefix, and whether the file
+/// was intact. A process that dies between creating a segment and
+/// writing its header leaves an empty file or a header without its
+/// newline; such a file holds no records, so it reads as a dirty, empty
+/// segment instead of failing the crawl. Only the first line is read to
+/// tell; every other file goes to [`recover`], which still refuses a
+/// complete but invalid header.
+pub(crate) fn recover_segment(path: &Path) -> io::Result<(Vec<SiteRecord>, bool)> {
+    let mut header = Vec::new();
+    BufReader::new(fs::File::open(path)?).read_until(b'\n', &mut header)?;
+    if header.last() != Some(&b'\n') {
+        return Ok((Vec::new(), false));
     }
-    segments.sort();
-    Ok(segments)
+    let (dataset, report) = recover(path)?;
+    Ok((dataset.records, report.clean()))
 }
 
-/// What [`merge_segments`] recovered and re-did.
+/// What the supervised merge recovered and re-did.
 #[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct MergeReport {
     /// Segment files read.
     pub segments: usize,
     /// **Unique** records recovered across all segments' valid prefixes:
     /// a site crawled by several shard executions (a re-leased or
-    /// speculative owner, a duplicate shard crawl) counts once.
+    /// speculative owner, a duplicate launch) counts once.
     pub records_recovered: usize,
-    /// Segments whose tail had to be truncated during recovery.
+    /// Segments whose tail had to be truncated during recovery, or whose
+    /// header never fully landed.
     pub segments_recovered_dirty: usize,
     /// Recovered records dropped because an earlier segment (in merge
     /// order) already supplied their site. Always zero when no shard ran
@@ -331,14 +256,14 @@ pub struct MergeReport {
 /// `(network, url, config)`, the merged dataset is byte-identical to a
 /// single uninterrupted crawl — regardless of shard count, segment size,
 /// how many segments were torn, or the order segments are listed in.
-/// Duplicate safety: segments are read in the given order (callers pass
-/// a name-sorted list, i.e. `(shard, [epoch,] seq)` order) and records
-/// deduplicate by site — the first occurrence wins. Re-executed shard
-/// work is therefore *dropped*, not double-counted, and because every
-/// execution of a site produces the identical record, which occurrence
-/// wins is immaterial to the dataset. The exact accounting lands in
-/// [`MergeReport::duplicates_dropped`].
-pub fn merge_segments(
+/// Duplicate safety: segments are read in the given order (the caller
+/// passes a name-sorted list, i.e. `(shard, epoch, seq)` order) and
+/// records deduplicate by site — the first occurrence wins. Re-executed
+/// shard work is therefore *dropped*, not double-counted, and because
+/// every execution of a site produces the identical record, which
+/// occurrence wins is immaterial to the dataset. The exact accounting
+/// lands in [`MergeReport::duplicates_dropped`].
+pub(crate) fn merge_segments(
     network: &Network,
     frontier: &[Url],
     config: &CrawlConfig,
@@ -354,14 +279,14 @@ pub fn merge_segments(
     let mut dirty = 0usize;
     let mut total = 0usize;
     for path in segments {
-        let (dataset, report) = recover(path)?;
-        if !report.clean() {
+        let (records, clean) = recover_segment(path)?;
+        if !clean {
             dirty += 1;
         }
         emit_spill_instant(trace, &config.label, "segment.merge", || {
-            format!("{} records={}", path.display(), report.records_recovered)
+            format!("{} records={}", path.display(), records.len())
         });
-        for record in dataset.records {
+        for record in records {
             total += 1;
             if seen.insert(record.url.clone()) {
                 combined.records.push(record);
@@ -382,8 +307,8 @@ pub fn merge_segments(
 }
 
 /// One spill-side instant on an optional sink — the shared emission
-/// shape for `segment.merge`, `segment.skip`, and the supervisor's
-/// protocol events.
+/// shape for `segment.seal`, `segment.merge`, `segment.skip`, and the
+/// supervisor's protocol events.
 pub(crate) fn emit_spill_instant(
     trace: Option<&Arc<dyn TraceSink>>,
     label: &str,
@@ -401,71 +326,10 @@ pub(crate) fn emit_spill_instant(
     }
 }
 
-/// Crawls one frontier shard, spilling records into bounded segments
-/// under `dir`, and returns the segment paths in frontier order.
-///
-/// This is the per-process entry point for an N-process scale-out: give
-/// each process the same `(network, frontier, config)` and a distinct
-/// `shard < count`; afterwards [`list_segments`] over the shared spill
-/// directory plus [`merge_segments`] reassembles the full dataset.
-/// Memory is bounded by `chunk_sites` (in-flight records) regardless of
-/// shard size.
-///
-/// On the first spill I/O error the streamed crawl aborts immediately —
-/// no further sites are visited — the unsealed partial segment is
-/// removed, and the error returns; sealed segments stay on disk and
-/// remain mergeable. A `shard` outside `0..count` is refused with
-/// [`io::ErrorKind::InvalidInput`] before anything touches the disk.
-#[allow(clippy::too_many_arguments)]
-pub fn crawl_shard_to_segments(
-    network: &Network,
-    frontier: &[Url],
-    config: &CrawlConfig,
-    dir: &Path,
-    shard: usize,
-    count: usize,
-    segment_sites: usize,
-    chunk_sites: usize,
-) -> io::Result<Vec<PathBuf>> {
-    if shard >= count.max(1) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("shard {shard} out of range for {count} shards"),
-        ));
-    }
-    let caches = config.build_caches();
-    let mut writer =
-        SegmentWriter::create(dir, &config.label, &config.device.id, shard, segment_sites)?;
-    let range = shard_range(frontier.len(), shard, count);
-    let mut io_err: Option<io::Error> = None;
-    crawl_streamed_range_until(
-        network,
-        frontier,
-        config,
-        &caches,
-        range,
-        chunk_sites,
-        |_, record| match writer.append(&record) {
-            Ok(()) => std::ops::ControlFlow::Continue(()),
-            Err(e) => {
-                // First spill failure aborts the crawl outright: records
-                // that can no longer be persisted are not worth visiting,
-                // and a silently-lossy spill must never look complete.
-                io_err = Some(e);
-                std::ops::ControlFlow::Break(())
-            }
-        },
-    );
-    if let Some(e) = io_err {
-        writer.abort().ok();
-        return Err(e);
-    }
-    writer.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{crawl_streamed, list_supervised_segments, merge_supervised};
     use canvassing_trace::CountingSink;
     use canvassing_webgen::{Cohort, SyntheticWeb, WebConfig};
 
@@ -488,12 +352,33 @@ mod tests {
         (web, frontier, config)
     }
 
+    /// Streams the workload's crawl into `writer` in `chunk_sites` chunks.
+    fn spill(
+        web: &SyntheticWeb,
+        frontier: &[Url],
+        config: &CrawlConfig,
+        writer: &mut SegmentWriter,
+        chunk_sites: usize,
+    ) {
+        let caches = config.build_caches();
+        crawl_streamed(
+            &web.network,
+            frontier,
+            config,
+            &caches,
+            chunk_sites,
+            |_, record| writer.append(&record).unwrap(),
+        );
+    }
+
     #[test]
     fn segments_are_bounded_and_ordered() {
         let (web, frontier, config) = workload();
         let dir = tmp_dir("bounded");
-        let segments =
-            crawl_shard_to_segments(&web.network, &frontier, &config, &dir, 0, 1, 12, 8).unwrap();
+        let mut writer =
+            SegmentWriter::create(&dir, &config.label, &config.device.id, 0, 12).unwrap();
+        spill(&web, &frontier, &config, &mut writer, 8);
+        let segments = writer.finish().unwrap();
         // 50 records at <=12/segment: five segments, last holding 2.
         assert_eq!(segments.len(), 5);
         let mut total = 0;
@@ -504,92 +389,47 @@ mod tests {
             total += ds.records.len();
         }
         assert_eq!(total, frontier.len());
-        assert_eq!(list_segments(&dir).unwrap(), segments);
+        assert_eq!(list_supervised_segments(&dir, None).unwrap(), segments);
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn sharded_spill_merges_byte_identical_to_single_crawl() {
-        let (web, frontier, config) = workload();
-        let dir = tmp_dir("identity");
-        for shard in 0..3 {
-            crawl_shard_to_segments(&web.network, &frontier, &config, &dir, shard, 3, 8, 4)
-                .unwrap();
-        }
-        let segments = list_segments(&dir).unwrap();
-        let (merged, report) =
-            merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
-        assert_eq!(report.records_recovered, frontier.len());
-        assert_eq!(report.segments_recovered_dirty, 0);
-        assert_eq!(report.recrawled, 0);
-
-        let direct = crate::crawl(&web.network, &frontier, &config);
-        assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            serde_json::to_string(&direct).unwrap()
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_counts_unique_records_and_drops_duplicates() {
-        // Regression for the PR-9 over-count: shard 0 of 2 crawled into
-        // one directory and the whole frontier into another overlap on
-        // the first half of the frontier; the merge must count each site
-        // once, account for the dropped duplicates exactly, and still be
-        // byte-identical to a single crawl.
-        let (web, frontier, config) = workload();
-        let dir_half = tmp_dir("dup-half");
-        let dir_full = tmp_dir("dup-full");
-        crawl_shard_to_segments(&web.network, &frontier, &config, &dir_half, 0, 2, 8, 4).unwrap();
-        crawl_shard_to_segments(&web.network, &frontier, &config, &dir_full, 0, 1, 8, 4).unwrap();
-        let mut segments = list_segments(&dir_half).unwrap();
-        segments.extend(list_segments(&dir_full).unwrap());
-        let (merged, report) =
-            merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
-
-        let half = crate::shard_range(frontier.len(), 0, 2).len();
-        assert_eq!(report.records_recovered, frontier.len(), "unique records");
-        assert_eq!(report.duplicates_dropped, half, "overlap counted exactly");
-        assert_eq!(report.recrawled, 0);
-        assert_eq!(
-            report.records_recovered + report.recrawled,
-            frontier.len(),
-            "recovered unique + recrawled must cover the frontier exactly"
-        );
-        let direct = crate::crawl(&web.network, &frontier, &config);
-        assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            serde_json::to_string(&direct).unwrap()
-        );
-        fs::remove_dir_all(&dir_half).ok();
-        fs::remove_dir_all(&dir_full).ok();
     }
 
     #[test]
     fn list_segments_skips_foreign_files_with_a_trace_instant() {
         let (web, frontier, config) = workload();
         let dir = tmp_dir("strays");
-        let segments =
-            crawl_shard_to_segments(&web.network, &frontier, &config, &dir, 0, 1, 20, 10).unwrap();
-        // Strays that a real spill directory accumulates: lease files,
-        // tmp rename leftovers, foreign checkpoints, a supervised
-        // epoch-qualified segment, and an under-padded impostor.
-        for stray in [
-            "shard000.lease",
-            "shard000.lease.tmp",
+        let mut writer =
+            SegmentWriter::create(&dir, &config.label, &config.device.id, 0, 20).unwrap();
+        spill(&web, &frontier, &config, &mut writer, 10);
+        let segments = writer.finish().unwrap();
+        // Lease-protocol files belong in a spill directory and are
+        // skipped silently; every other stray gets an instant.
+        for protocol in ["shard000.lease", "shard000.lease.tmp"] {
+            fs::write(dir.join(protocol), b"{}").unwrap();
+        }
+        // Strays a real spill directory accumulates: a foreign
+        // checkpoint, a segment name without an epoch, and under-padded
+        // impostors.
+        let strays = [
             "foreign.ckpt",
-            "shard000-e0002-seg00000.ckpt",
-            "shard0-seg1.ckpt",
-        ] {
+            "shard000-seg00000.ckpt",
+            "shard0-e0001-seg00000.ckpt",
+            "shard000-e1-seg00000.ckpt",
+            "shard000-e0001-seg1.ckpt",
+        ];
+        for stray in strays {
             fs::write(dir.join(stray), b"not a segment").unwrap();
         }
         let sink = Arc::new(CountingSink::new());
         let listed =
-            list_segments_traced(&dir, Some(&(Arc::clone(&sink) as Arc<dyn TraceSink>))).unwrap();
-        assert_eq!(listed, segments, "only canonical segment names listed");
+            list_supervised_segments(&dir, Some(&(Arc::clone(&sink) as Arc<dyn TraceSink>)))
+                .unwrap();
+        assert_eq!(listed, segments, "only segment names listed");
         let (_, _, events) = sink.totals();
-        assert_eq!(events, 5, "one segment.skip instant per stray file");
+        assert_eq!(
+            events as usize,
+            strays.len(),
+            "one segment.skip instant per stray file"
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -601,30 +441,18 @@ mod tests {
         let (web, frontier, config) = workload();
         let full = crate::crawl(&web.network, &frontier, &config);
         let dir = tmp_dir("unsealed");
-        let caches = config.build_caches();
         let mut writer =
             SegmentWriter::create(&dir, &config.label, &config.device.id, 0, 20).unwrap();
-        crawl_streamed_range_until(
-            &web.network,
-            &frontier,
-            &config,
-            &caches,
-            0..frontier.len(),
-            16,
-            |_, record| {
-                writer.append(&record).unwrap();
-                std::ops::ControlFlow::Continue(())
-            },
-        );
+        spill(&web, &frontier, &config, &mut writer, 16);
         assert_eq!(writer.sealed().len(), 2, "50 records seal two of three");
         drop(writer); // crash before finish(): the third segment is unsealed
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_supervised_segments(&dir, None).unwrap();
         assert_eq!(segments.len(), 3, "the unsealed segment is still listed");
         let (ds, report) = recover(&segments[2]).unwrap();
         assert!(report.clean(), "every fully-appended record survives");
         assert_eq!(ds.records.len(), 10);
         let (merged, report) =
-            merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
+            merge_supervised(&web.network, &frontier, &config, &dir, None).unwrap();
         assert_eq!(report.records_recovered, frontier.len());
         assert_eq!(report.recrawled, 0);
         assert_eq!(
@@ -635,99 +463,14 @@ mod tests {
     }
 
     #[test]
-    fn spill_error_aborts_the_crawl_and_removes_the_partial_segment() {
-        let (web, frontier, config) = workload();
-        let dir = tmp_dir("abort");
-        // Booby-trap the second segment's path: rolling over to it fails,
-        // which must abort the crawl (not silently discard the rest of
-        // the range) and leave only complete, sealed segments behind.
-        fs::create_dir_all(dir.join("shard000-seg00001.ckpt")).unwrap();
-        let err = crawl_shard_to_segments(&web.network, &frontier, &config, &dir, 0, 1, 10, 5)
-            .unwrap_err();
-        assert!(!err.to_string().is_empty());
-        let listed = list_segments(&dir).unwrap();
-        assert_eq!(listed.len(), 1, "only the sealed first segment remains");
-        let (ds, report) = recover(&listed[0]).unwrap();
-        assert!(report.clean());
-        assert_eq!(ds.records.len(), 10);
-        fs::remove_dir_all(&dir).ok();
-
-        // An out-of-range shard is refused before the spill directory is
-        // created, instead of crawling past the end of the frontier.
-        let missing = dir.join("never-created");
-        let err = crawl_shard_to_segments(&web.network, &frontier, &config, &missing, 3, 2, 10, 5)
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        assert!(!missing.exists(), "nothing touched the disk");
-    }
-
-    #[test]
-    fn abort_removes_only_the_unsealed_segment() {
-        let (web, frontier, config) = workload();
-        let dir = tmp_dir("abort-unit");
-        let caches = config.build_caches();
-        let mut writer =
-            SegmentWriter::create(&dir, &config.label, &config.device.id, 0, 20).unwrap();
-        crawl_streamed_range_until(
-            &web.network,
-            &frontier,
-            &config,
-            &caches,
-            0..frontier.len(),
-            16,
-            |_, record| {
-                writer.append(&record).unwrap();
-                std::ops::ControlFlow::Continue(())
-            },
-        );
-        let sealed = writer.abort().unwrap();
-        assert_eq!(sealed.len(), 2);
-        assert_eq!(list_segments(&dir).unwrap(), sealed, "partial third gone");
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn streamed_crawl_stops_at_the_breaking_record() {
-        let (web, frontier, config) = workload();
-        let caches = config.build_caches();
-        let mut delivered = 0usize;
-        let stats = crawl_streamed_range_until(
-            &web.network,
-            &frontier,
-            &config,
-            &caches,
-            0..frontier.len(),
-            8,
-            |_, _| {
-                delivered += 1;
-                if delivered == 11 {
-                    std::ops::ControlFlow::Break(())
-                } else {
-                    std::ops::ControlFlow::Continue(())
-                }
-            },
-        );
-        assert_eq!(delivered, 11, "break stops delivery mid-chunk");
-        assert_eq!(stats.sites, 11, "stats count delivered records only");
-    }
-
-    #[test]
     fn spill_trace_goes_to_the_spill_sink_only() {
         let (web, frontier, config) = workload();
         let dir = tmp_dir("trace");
         let sink = Arc::new(CountingSink::new());
-        let caches = config.build_caches();
         let mut writer = SegmentWriter::create(&dir, &config.label, &config.device.id, 0, 10)
             .unwrap()
             .with_trace(Arc::clone(&sink) as Arc<dyn TraceSink>);
-        crate::crawl_streamed(
-            &web.network,
-            &frontier,
-            &config,
-            &caches,
-            16,
-            |_, record| writer.append(&record).unwrap(),
-        );
+        spill(&web, &frontier, &config, &mut writer, 16);
         let segments = writer.finish().unwrap();
         assert_eq!(segments.len(), 5);
         let (_, spans, events) = sink.totals();

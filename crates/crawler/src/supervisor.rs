@@ -1,11 +1,11 @@
-//! Crash-tolerant shard supervision for the million-site crawl.
+//! Crash-tolerant shard supervision for the million-site crawl: the one
+//! code path that shards a frontier and spills records to disk.
 //!
-//! PR 9's scale-out ([`crate::crawl_shard_to_segments`]) assumes every
-//! shard process survives to `finish()`. Real web-scale measurement
-//! crawls run for days across many machines, and processes there die,
-//! hang, straggle, and get double-launched by the orchestration layer.
-//! This module adds the supervision protocol that makes those failures
-//! *invisible in the dataset*:
+//! Real web-scale measurement crawls run for days across many machines,
+//! and processes there die, hang, straggle, and get double-launched by
+//! the orchestration layer. This module runs each frontier shard under a
+//! supervision protocol that makes those failures *invisible in the
+//! dataset*:
 //!
 //! * **Leases** — each shard's ownership is a [`Lease`] file
 //!   (`shard{NNN}.lease`) in the spill directory, written atomically via
@@ -40,15 +40,17 @@
 //!
 //! **The proof obligation**: any interleaving of crashes, re-leases,
 //! fences, and speculative double-execution merges byte-identical to
-//! one uninterrupted `workers = 1` crawl. Supervised owners write
-//! epoch-qualified segments (`shard{NNN}-e{EEEE}-seg{NNNNN}.ckpt`) so
-//! racing owners never collide on a file; [`merge_supervised`] orders
-//! segments by `(shard, epoch, seq)` and [`crate::merge_segments`]
+//! one uninterrupted `workers = 1` crawl. Owners write epoch-qualified
+//! segments (`shard{NNN}-e{EEEE}-seg{NNNNN}.ckpt`, see
+//! [`crate::segment`]) so racing owners never collide on a file;
+//! [`merge_supervised`] orders segments by `(shard, epoch, seq)` and
 //! deduplicates records by site — and every execution of a site yields
 //! the identical record ([`crate::SiteCrawler`]'s purity contract), so
-//! dropping duplicates is lossless. `tests/supervisor_chaos.rs` proves
-//! it with a kill-at-every-record sweep plus the stall, duplicate,
-//! straggler and seeded-chaos scenarios.
+//! dropping duplicates is lossless. A segment whose header never landed
+//! (the owner died between creating the file and writing its first
+//! line) reads as empty, not as an error. `tests/supervisor_chaos.rs`
+//! proves the identity with a kill-at-every-record sweep plus the stall,
+//! duplicate, straggler and seeded-chaos scenarios.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -60,10 +62,11 @@ use canvassing_net::{Network, Url};
 use canvassing_trace::TraceSink;
 use serde::{Deserialize, Serialize};
 
-use crate::checkpoint::recover;
 use crate::dataset::CrawlDataset;
-use crate::segment::{emit_spill_instant, parse_supervised_name, SegmentWriter};
-use crate::{merge_segments, shard_range, BreakerPlan, CrawlConfig, MergeReport, SiteCrawler};
+use crate::segment::{
+    emit_spill_instant, merge_segments, parse_supervised_name, recover_segment, SegmentWriter,
+};
+use crate::{shard_range, BreakerPlan, CrawlConfig, MergeReport, SiteCrawler};
 
 /// One shard's ownership record, persisted as `shard{NNN}.lease` in the
 /// spill directory via write-temp-then-rename — a process crash
@@ -392,8 +395,9 @@ struct Worker<'a> {
     dead: bool,
 }
 
-/// Lists every supervised (epoch-qualified) segment in `dir`, sorted by
-/// file name — `(shard, epoch, seq)` order, the canonical merge order.
+/// Lists every segment (`shard{NNN}-e{EEEE}-seg{NNNNN}.ckpt`) in `dir`,
+/// sorted by file name — `(shard, epoch, seq)` order, the canonical merge
+/// order.
 /// Lease-protocol files (`*.lease`, `*.tmp`) are skipped silently;
 /// anything else foreign gets a `segment.skip` instant.
 pub fn list_supervised_segments(
@@ -436,26 +440,21 @@ pub fn merge_supervised(
 }
 
 /// The shard's durable frontier coverage, re-derived purely from disk:
-/// every supervised segment of `shard` (any epoch, sealed or not) is
-/// recovered — truncating torn tails exactly as a fresh standby process
-/// would — and its records mapped back to frontier indices.
+/// every segment of `shard` (any epoch, sealed or not) is recovered —
+/// truncating torn tails exactly as a fresh standby process would — and
+/// its records mapped back to frontier indices.
 fn durable_coverage(
     dir: &Path,
     shard: usize,
     frontier_index: &BTreeMap<&Url, usize>,
 ) -> io::Result<BTreeSet<usize>> {
     let mut covered = BTreeSet::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
+    for path in list_supervised_segments(dir, None)? {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        let Some((s, _epoch, _seq)) = parse_supervised_name(name) else {
-            continue;
-        };
-        if s != shard {
+        if !matches!(parse_supervised_name(name), Some((s, _, _)) if s == shard) {
             continue;
         }
-        let (dataset, _report) = recover(&path)?;
-        for record in dataset.records {
+        for record in recover_segment(&path)?.0 {
             if let Some(&i) = frontier_index.get(&record.url) {
                 covered.insert(i);
             }
@@ -1096,6 +1095,32 @@ mod tests {
         assert_eq!(instants[1].1, 1, "one restart");
         assert_eq!(instants[2].1, 3, "three acquires (2 launches + 1 re-lease)");
         assert_eq!(instants[3].1, 0, "crash death is observed, not expired");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn spill_error_fails_the_supervised_crawl() {
+        // A directory sits where shard 0's second segment goes: rolling
+        // over to it cannot create the file, and the crawl must report
+        // that instead of dropping the shard's remaining records.
+        let (web, frontier, config) = workload();
+        let dir = tmp_dir("spill-error");
+        let blocked = dir.join("shard000-e0001-seg00001.ckpt");
+        fs::create_dir_all(&blocked).unwrap();
+        let result = supervise_crawl(
+            &web.network,
+            &frontier,
+            &config,
+            &dir,
+            &sup(2, 8),
+            &FaultScript::none(),
+        );
+        assert!(result.is_err(), "segment creation failure must surface");
+        assert!(blocked.is_dir(), "the blocking directory is left alone");
+        let sealed = dir.join("shard000-e0001-seg00000.ckpt");
+        let (ds, report) = crate::recover(&sealed).unwrap();
+        assert!(report.clean());
+        assert_eq!(ds.records.len(), 8, "the first segment sealed whole");
         fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Design points:
 //!
-//! * **Lock-sharded** — the map is split across [`SHARDS`] independent
+//! * **Lock-sharded** — the map is split across `SHARDS` independent
 //!   mutexes selected by the content hash, so workers compiling different
 //!   scripts never contend on one lock.
 //! * **Parse-under-lock** — a miss parses while holding its shard lock.

@@ -19,7 +19,7 @@
 //! `canvassing-dom`. Execution is bounded by a step budget so generated
 //! scripts can never hang a crawl worker.
 //!
-//! Scripts execute on one engine, a compile-to-bytecode VM ([`compile`] +
+//! Scripts execute on one engine, a compile-to-bytecode VM ([`compile()`] +
 //! [`run_compiled_with_budget`]). The original tree-walking interpreter
 //! ([`run_with_budget`]) stays only as a test oracle: the differential
 //! suite and the corpus-level engine identity test require identical

@@ -5,7 +5,7 @@
 //! interpreter in [`crate::interp`] remains as the differential-testing
 //! oracle. Both engines implement identical semantics — same results,
 //! same host-effect sequences, same error messages, and byte-identical
-//! step accounting (see the fuel contract in [`crate::compile`]) — which
+//! step accounting (see the fuel contract in [`mod@crate::compile`]) — which
 //! the differential suite in `proptests.rs` enforces.
 //!
 //! Speed comes from structure, not shortcuts: identifiers are interned so

@@ -17,8 +17,9 @@
 use std::path::{Path, PathBuf};
 
 use canvassing_crawler::{
-    checkpoint, crawl, crawl_shard_to_segments, list_segments, merge_segments, resume_crawl,
-    BreakerPolicy, CrawlConfig, RetryPolicy, SiteRecord,
+    checkpoint, crawl, list_supervised_segments, merge_supervised, resume_crawl, supervise_crawl,
+    BreakerPolicy, CrawlConfig, FaultScript, RetryPolicy, SiteRecord, SupervisorConfig,
+    WorkerFault,
 };
 use canvassing_net::FaultMatrix;
 use canvassing_webgen::{Cohort, SyntheticWeb, WebConfig};
@@ -236,7 +237,21 @@ fn recovery_refuses_files_without_a_valid_header() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Spills the workload into sharded segments and returns
+/// A fresh spill directory.
+fn fresh_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("seg-recovery-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Two supervised shards spilling 16-record segments.
+fn two_shards() -> SupervisorConfig {
+    let mut sup = SupervisorConfig::new(2);
+    sup.segment_sites = 16;
+    sup
+}
+
+/// Spills the workload into two supervised shards and returns
 /// `(spill dir, segment paths, pristine bytes per segment)`.
 fn spilled_workload(
     tag: &str,
@@ -244,12 +259,10 @@ fn spilled_workload(
     frontier: &[canvassing_net::Url],
     config: &CrawlConfig,
 ) -> (PathBuf, Vec<PathBuf>, Vec<Vec<u8>>) {
-    let dir = std::env::temp_dir().join(format!("seg-recovery-{tag}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    for shard in 0..2 {
-        crawl_shard_to_segments(&web.network, frontier, config, &dir, shard, 2, 16, 8).unwrap();
-    }
-    let segments = list_segments(&dir).unwrap();
+    let dir = fresh_dir(tag);
+    let none = FaultScript::none();
+    supervise_crawl(&web.network, frontier, config, &dir, &two_shards(), &none).unwrap();
+    let segments = list_supervised_segments(&dir, None).unwrap();
     assert!(segments.len() >= 4, "80 sites / 2 shards / 16 per segment");
     let pristine: Vec<Vec<u8>> = segments.iter().map(|p| std::fs::read(p).unwrap()).collect();
     (dir, segments, pristine)
@@ -276,7 +289,7 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     boundaries
 }
 
-/// PR-9 extension of the boundary sweep to segment files: tearing *any*
+/// The boundary sweep extended to supervised segment files: tearing *any*
 /// segment at *any* frame boundary — and mid-frame — truncates that
 /// segment to its valid prefix on recovery, and a merge over the
 /// recovered segments resumes the lost suffix byte-identical to the
@@ -315,7 +328,7 @@ fn segment_torn_at_every_frame_boundary_merges_byte_identical() {
             );
 
             let (merged, merge_report) =
-                merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
+                merge_supervised(&web.network, &frontier, &config, &dir, None).unwrap();
             assert_eq!(
                 merged.to_json().unwrap(),
                 full_json,
@@ -335,7 +348,7 @@ fn segment_torn_at_every_frame_boundary_merges_byte_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The PR-5 seeded-LCG corruption sweep, retargeted at segment files:
+/// The seeded-LCG corruption sweep, retargeted at supervised segment files:
 /// random bit flips, truncations, and garbage tails land on random
 /// segments; recovery always yields a valid prefix and the resumed
 /// merge is always byte-identical.
@@ -374,7 +387,7 @@ fn randomized_segment_corruption_sweep_merges_byte_identical() {
             "iteration {iteration}: segment recovery must be a pristine prefix"
         );
         let (merged, report) =
-            merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
+            merge_supervised(&web.network, &frontier, &config, &dir, None).unwrap();
         assert_eq!(
             merged.to_json().unwrap(),
             full_json,
@@ -390,6 +403,54 @@ fn randomized_segment_corruption_sweep_merges_byte_identical() {
         dirty_merges > 20,
         "the sweep must mostly cost real records, got {dirty_merges}/32"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment whose owner died between creating the file and finishing
+/// its header line holds no records. Both shapes such a death leaves — an
+/// empty file and a header without its newline — read as dirty, empty
+/// segments: the merge and a supervised crawl with a crash fault both
+/// still equal the direct crawl, where a header error used to fail them.
+#[test]
+fn segments_without_a_complete_header_read_as_dirty_and_empty() {
+    let (web, frontier) = workload();
+    let config = resilient_config(1);
+    let full_json = crawl(&web.network, &frontier, &config).to_json().unwrap();
+    let (dir, _, pristine) = spilled_workload("headerless", &web, &frontier, &config);
+    let header_len = pristine[0].iter().position(|&b| b == b'\n').unwrap();
+    let half_header = &pristine[0][..header_len / 2];
+    // Epochs no owner of this run reaches, so nothing overwrites them.
+    let plant = |dir: &Path| {
+        std::fs::write(dir.join("shard001-e0007-seg00000.ckpt"), b"").unwrap();
+        std::fs::write(dir.join("shard000-e0009-seg00000.ckpt"), half_header).unwrap();
+    };
+
+    plant(&dir);
+    let (merged, report) = merge_supervised(&web.network, &frontier, &config, &dir, None).unwrap();
+    assert_eq!(merged.to_json().unwrap(), full_json);
+    assert_eq!(report.segments_recovered_dirty, 2, "both planted files");
+    assert_eq!(report.records_recovered, frontier.len());
+    assert_eq!(report.recrawled, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Planted before the run, the files sit in every launch's coverage
+    // scan, including the re-lease after the crash.
+    let dir = fresh_dir("planted");
+    plant(&dir);
+    let mut faults = FaultScript::none();
+    faults.inject(0, 1, WorkerFault::CrashAtRecord(5));
+    let (merged, report) = supervise_crawl(
+        &web.network,
+        &frontier,
+        &config,
+        &dir,
+        &two_shards(),
+        &faults,
+    )
+    .unwrap();
+    assert_eq!(merged.to_json().unwrap(), full_json);
+    assert_eq!(report.workers_crashed, 1);
+    assert_eq!(report.re_leases, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,28 +1,32 @@
 //! Streaming-path equivalence gates.
 //!
-//! The constant-memory pipeline — chunked scheduler, sharded segment
-//! spill, [`CohortAccumulator`]-based aggregation — must be *invisible*
-//! in the results: every record identical to a whole-frontier crawl's,
-//! and the spilled study report byte identical to the one the
-//! materializing batch runner rendered before it was retired
-//! (`tests/golden/report_scale_0.2.txt`), across worker counts, cache
-//! temperature, fault injection, and shard/segment geometry. These tests
-//! sweep that matrix at reduced scale.
+//! The constant-memory pipeline — chunked scheduler and
+//! [`CohortAccumulator`]-based aggregation — and the supervised spill —
+//! sharded segment files merged back into one dataset — must be
+//! *invisible* in the results: every record identical to a
+//! whole-frontier crawl's, and the streamed study report byte identical
+//! to the one the materializing batch runner rendered before it was
+//! retired (`tests/golden/report_scale_0.2.txt`), across worker counts,
+//! cache temperature, fault injection, and shard/segment geometry. These
+//! tests sweep that matrix at reduced scale.
 //!
 //! To regenerate the snapshot after an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test streaming_equivalence
 //! ```
+//!
+//! [`CohortAccumulator`]: canvassing::CohortAccumulator
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions};
 use canvassing_crawler::{
-    crawl, crawl_shard_to_segments, crawl_streamed, crawl_with_caches, list_segments,
-    merge_segments, CrawlConfig, CrawlDataset, RetryPolicy, SiteRecord,
+    crawl, crawl_streamed, crawl_with_caches, list_supervised_segments, merge_supervised,
+    shard_range, supervise_crawl, CrawlConfig, CrawlDataset, FaultScript, MergeReport, RetryPolicy,
+    SiteRecord, SupervisorConfig,
 };
 use canvassing_net::{FaultMatrix, Url};
 use canvassing_webgen::{Cohort, SyntheticWeb, WebConfig};
@@ -67,8 +71,8 @@ const GOLDEN_PATH: &str = concat!(
 
 /// The tentpole gate: the full study — adblock re-crawls, M1
 /// validation, traced control crawls — streamed through accumulators in
-/// 64-site chunks and spilled to 256-record segments renders exactly
-/// the committed snapshot, which the materializing batch runner wrote.
+/// 64-site chunks renders exactly the committed snapshot, which the
+/// materializing batch runner wrote.
 #[test]
 fn streamed_study_report_is_byte_identical() {
     let web = SyntheticWeb::generate(WebConfig {
@@ -82,12 +86,7 @@ fn streamed_study_report_is_byte_identical() {
         defense_sweep: false,
         trace: true,
     };
-    let spill = tmp_dir("study-spill");
-    let streaming = StreamingOptions {
-        chunk_sites: 64,
-        segment_sites: 256,
-        spill_dir: Some(spill.clone()),
-    };
+    let streaming = StreamingOptions { chunk_sites: 64 };
 
     let streamed = run_study_streamed(&web, &options, &streaming)
         .unwrap()
@@ -111,29 +110,6 @@ fn streamed_study_report_is_byte_identical() {
             &streamed[lo..(at + 120).min(streamed.len())],
         );
     }
-
-    // The spill is a complete, independently mergeable copy of each
-    // control crawl: recovering the popular segments and resuming over
-    // the frontier reproduces a direct batch crawl byte for byte.
-    let mut control = CrawlConfig::control();
-    control.workers = options.workers;
-    let frontier = web.frontier(Cohort::Popular);
-    let segments = list_segments(&spill.join("popular")).unwrap();
-    assert!(
-        segments.len() >= 3,
-        "{} sites at 256/segment should seal >=3 segments",
-        frontier.len()
-    );
-    let (merged, report) =
-        merge_segments(&web.network, &frontier, &control, &segments, None).unwrap();
-    assert_eq!(report.records_recovered, frontier.len());
-    assert_eq!(report.recrawled, 0);
-    let direct = crawl(&web.network, &frontier, &control);
-    assert_eq!(
-        serde_json::to_string(&merged).unwrap(),
-        serde_json::to_string(&direct).unwrap()
-    );
-    std::fs::remove_dir_all(&spill).ok();
 }
 
 /// Crawl-level equivalence under faults: the chunked streaming
@@ -175,6 +151,48 @@ fn streamed_records_match_batch_across_workers_and_cache_temperature() {
     }
 }
 
+/// Runs a fault-free supervised crawl of the workload over `shards`
+/// shards with `segment_sites`-record segments into a fresh directory,
+/// returning the directory and the crawl's merged dataset and report.
+fn supervised_spill(
+    tag: &str,
+    web: &SyntheticWeb,
+    frontier: &[Url],
+    config: &CrawlConfig,
+    shards: usize,
+    segment_sites: usize,
+) -> (PathBuf, CrawlDataset, MergeReport) {
+    let dir = tmp_dir(tag);
+    let mut sup = SupervisorConfig::new(shards);
+    sup.segment_sites = segment_sites;
+    let (merged, report) = supervise_crawl(
+        &web.network,
+        frontier,
+        config,
+        &dir,
+        &sup,
+        &FaultScript::none(),
+    )
+    .unwrap();
+    (dir, merged, report.merge)
+}
+
+/// The segment files of one shard in a spill directory.
+fn shard_segments(dir: &Path, shard: usize) -> Vec<PathBuf> {
+    let prefix = format!("shard{shard:03}-");
+    list_supervised_segments(dir, None)
+        .unwrap()
+        .into_iter()
+        .filter(|p| {
+            p.file_name()
+                .unwrap()
+                .to_str()
+                .unwrap()
+                .starts_with(&prefix)
+        })
+        .collect()
+}
+
 /// Spill + merge identity under faults, swept over shard counts and a
 /// deliberately awkward segment size (13 never divides the shard
 /// ranges evenly, so every boundary case — short final segments, sealed
@@ -184,14 +202,14 @@ fn sharded_spill_merges_identically_for_all_shard_counts() {
     let (web, frontier, config) = workload();
     let full = crawl(&web.network, &frontier, &config);
     for shards in [1usize, 4, 8] {
-        let dir = tmp_dir(&format!("shards-{shards}"));
-        for shard in 0..shards {
-            crawl_shard_to_segments(&web.network, &frontier, &config, &dir, shard, shards, 13, 9)
-                .unwrap();
-        }
-        let segments = list_segments(&dir).unwrap();
-        let (merged, report) =
-            merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
+        let (dir, merged, report) = supervised_spill(
+            &format!("shards-{shards}"),
+            &web,
+            &frontier,
+            &config,
+            shards,
+            13,
+        );
         assert_eq!(report.records_recovered, frontier.len(), "shards={shards}");
         assert_eq!(report.segments_recovered_dirty, 0, "shards={shards}");
         assert_eq!(
@@ -207,23 +225,23 @@ fn sharded_spill_merges_identically_for_all_shard_counts() {
     }
 }
 
-/// A merge over a *partial* spill (some shards never ran) recrawls the
-/// gap and still lands byte-identical — the scale-out story's crash
-/// tolerance: losing a whole shard's process costs its sites' work,
-/// never correctness.
+/// A merge over a *partial* spill (one shard's segments are gone)
+/// recrawls the gap and still lands byte-identical: losing a whole
+/// shard's output costs its sites' work, never correctness.
 #[test]
 fn merge_with_missing_shard_recrawls_the_gap_identically() {
     let (web, frontier, config) = workload();
     let full = crawl(&web.network, &frontier, &config);
-    let dir = tmp_dir("missing-shard");
-    // Run shards 0 and 2 of 3; shard 1 "crashed before starting".
-    for shard in [0usize, 2] {
-        crawl_shard_to_segments(&web.network, &frontier, &config, &dir, shard, 3, 13, 9).unwrap();
+    let (dir, _, _) = supervised_spill("missing-shard", &web, &frontier, &config, 3, 13);
+    for segment in shard_segments(&dir, 1) {
+        std::fs::remove_file(segment).unwrap();
     }
-    let segments = list_segments(&dir).unwrap();
-    let (merged, report) =
-        merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
-    assert!(report.recrawled > 0, "the lost shard must be recrawled");
+    let (merged, report) = merge_supervised(&web.network, &frontier, &config, &dir, None).unwrap();
+    assert_eq!(
+        report.recrawled,
+        shard_range(frontier.len(), 1, 3).len(),
+        "the lost shard must be recrawled"
+    );
     assert_eq!(
         serde_json::to_string(&merged).unwrap(),
         serde_json::to_string(&full).unwrap()
@@ -231,35 +249,34 @@ fn merge_with_missing_shard_recrawls_the_gap_identically() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Overlapping spills — two independent full-range crawls merged
-/// together, the shape a re-leased or double-launched worker leaves
-/// behind — dedupe exactly: `records_recovered` counts unique sites,
-/// `duplicates_dropped` counts the collisions, and the bytes still
-/// match a single crawl.
+/// Overlapping spills — one shard's segments also present under a later
+/// epoch, the shape a re-leased or double-launched owner leaves behind —
+/// dedupe exactly: `records_recovered` counts unique sites,
+/// `duplicates_dropped` counts the collisions, and the bytes still match
+/// a single crawl.
 #[test]
 fn overlapping_spills_dedupe_with_exact_accounting() {
     let (web, frontier, config) = workload();
     let full = crawl(&web.network, &frontier, &config);
-    let dir_a = tmp_dir("overlap-a");
-    let dir_b = tmp_dir("overlap-b");
-    crawl_shard_to_segments(&web.network, &frontier, &config, &dir_a, 0, 1, 13, 9).unwrap();
-    // The second "worker" crawls only the back half of the range (shard
-    // 1 of 2): a partial overlap, not a mirror image.
-    crawl_shard_to_segments(&web.network, &frontier, &config, &dir_b, 1, 2, 13, 9).unwrap();
-    let mut segments = list_segments(&dir_a).unwrap();
-    segments.extend(list_segments(&dir_b).unwrap());
-    let (merged, report) =
-        merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
-    let back_half = frontier.len() - frontier.len() / 2;
+    let (dir, _, _) = supervised_spill("overlap", &web, &frontier, &config, 2, 13);
+    // The second "owner" of shard 1 wrote the same records at epoch 2.
+    for segment in shard_segments(&dir, 1) {
+        let name = segment.file_name().unwrap().to_str().unwrap();
+        std::fs::copy(&segment, dir.join(name.replace("-e0001-", "-e0002-"))).unwrap();
+    }
+    let (merged, report) = merge_supervised(&web.network, &frontier, &config, &dir, None).unwrap();
     assert_eq!(report.records_recovered, frontier.len(), "unique records");
-    assert_eq!(report.duplicates_dropped, back_half, "the overlap, exactly");
+    assert_eq!(
+        report.duplicates_dropped,
+        shard_range(frontier.len(), 1, 2).len(),
+        "the overlap, exactly"
+    );
     assert_eq!(report.recrawled, 0);
     assert_eq!(
         serde_json::to_string(&merged).unwrap(),
         serde_json::to_string(&full).unwrap()
     );
-    std::fs::remove_dir_all(&dir_a).ok();
-    std::fs::remove_dir_all(&dir_b).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Sanity: a merged dataset's label/device come from the config, so a
@@ -268,10 +285,8 @@ fn overlapping_spills_dedupe_with_exact_accounting() {
 #[test]
 fn merged_dataset_is_a_first_class_crawl_dataset() {
     let (web, frontier, config) = workload();
-    let dir = tmp_dir("first-class");
-    crawl_shard_to_segments(&web.network, &frontier, &config, &dir, 0, 1, 20, 10).unwrap();
-    let segments = list_segments(&dir).unwrap();
-    let (merged, _) = merge_segments(&web.network, &frontier, &config, &segments, None).unwrap();
+    let (dir, _, _) = supervised_spill("first-class", &web, &frontier, &config, 1, 20);
+    let (merged, _) = merge_supervised(&web.network, &frontier, &config, &dir, None).unwrap();
     let direct: CrawlDataset = crawl(&web.network, &frontier, &config);
     assert_eq!(merged.label, direct.label);
     assert_eq!(merged.device_id, direct.device_id);
