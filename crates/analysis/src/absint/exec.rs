@@ -14,8 +14,7 @@ use canvassing_script::bytecode::{Const, Insn, Op};
 use canvassing_script::interp::builtin_name;
 use canvassing_script::{BinOp, CompiledProgram, UnOp};
 
-use crate::features::ANIMATION_METHODS;
-use crate::taint::{CanvasRead, DimClass, MimeClass, SINK_METHODS};
+use crate::taint::{CanvasRead, DimClass, MimeClass, ANIMATION_METHODS, SINK_METHODS};
 
 use super::cfg::Cfg;
 use super::domain::{AbsState, BVal, Dims, Origin, Slot, DEFAULT_DIMS};

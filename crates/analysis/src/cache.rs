@@ -1,43 +1,30 @@
 //! Once-per-unique-script analysis cache.
 //!
 //! The crawler triages every script *before* execution, but a crawl sees
-//! the same dozen vendor bodies on thousands of sites. Like
-//! [`ScriptCache`], the [`AnalysisCache`] keys results by the FNV-1a
-//! content hash, verifies the full source on lookup (a 64-bit collision
-//! degrades to a second entry, never to the wrong verdict), and computes
-//! under the shard lock so concurrent requests for the same body block
-//! rather than analyzing twice — which is what makes
-//! [`AnalysisStats::analyses`] equal the number of unique script bodies,
-//! deterministically, across worker counts and schedules. An entry lives
-//! as long as the cache: the analysis is a pure function of the source,
-//! so nothing ever invalidates it.
+//! the same dozen vendor bodies on thousands of sites. The
+//! [`AnalysisCache`] files each result in a [`BodyMap`], the compute-once
+//! map under [`ScriptCache`]: results are keyed by the FNV-1a content
+//! hash and the full source is compared on lookup (a 64-bit collision
+//! degrades to a second entry, never to the wrong verdict). The analysis
+//! runs outside the shard lock, once per body: concurrent requests for
+//! the same body wait for the one running analysis rather than analyzing
+//! twice — which is what makes [`AnalysisStats::analyses`] equal the
+//! number of unique script bodies, deterministically, across worker
+//! counts and schedules. An entry lives as long as the cache: the
+//! analysis is a pure function of the source, so nothing ever
+//! invalidates it.
 //!
 //! When a shared [`ScriptCache`] is available the analysis reuses its
 //! compiled [`Program`](canvassing_script::Program) handle instead of
 //! parsing a second time, so triage costs zero extra parses (the one
 //! counted parse is the same one execution later hits on).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use canvassing_script::{source_hash, ScriptCache};
+use canvassing_script::{source_hash, BodyMap, ScriptCache};
 
 use crate::{classify_merged, classify_source_merged, Finding, RuleId, ScriptAnalysis, Verdict};
-
-/// Shard count; mirrors `ScriptCache`'s sizing rationale.
-const SHARD_COUNT: usize = 16;
-
-/// The shard a content hash lives in.
-fn shard_of(hash: u64) -> usize {
-    (hash as usize) % SHARD_COUNT
-}
-
-/// One cached analysis: verified source plus the shared result.
-struct CacheEntry {
-    source: String,
-    analysis: Arc<ScriptAnalysis>,
-}
 
 /// Cumulative analysis counters (deterministic; see module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -56,28 +43,17 @@ impl AnalysisStats {
 }
 
 /// A sharded, `Arc`-shareable static-analysis cache.
+#[derive(Default)]
 pub struct AnalysisCache {
-    shards: Vec<Mutex<HashMap<u64, Vec<CacheEntry>>>>,
+    bodies: BodyMap<Arc<ScriptAnalysis>>,
     hits: AtomicU64,
     analyses: AtomicU64,
-}
-
-impl Default for AnalysisCache {
-    fn default() -> AnalysisCache {
-        AnalysisCache::new()
-    }
 }
 
 impl AnalysisCache {
     /// Creates an empty cache.
     pub fn new() -> AnalysisCache {
-        AnalysisCache {
-            shards: (0..SHARD_COUNT)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            analyses: AtomicU64::new(0),
-        }
+        AnalysisCache::default()
     }
 
     /// Returns `(content_hash, analysis)` for `src`, running the analysis
@@ -133,48 +109,29 @@ impl AnalysisCache {
         programs: Option<&ScriptCache>,
     ) -> ((u64, Arc<ScriptAnalysis>), bool) {
         let hash = source_hash(src);
-        let mut map = self.shards[shard_of(hash)]
-            .lock()
-            .unwrap_or_else(|poison| poison.into_inner());
-        let bucket = map.entry(hash).or_default();
-        if let Some(entry) = bucket.iter().find(|e| e.source == src) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return ((hash, Arc::clone(&entry.analysis)), false);
-        }
-        self.analyses.fetch_add(1, Ordering::Relaxed);
-        let analysis = Arc::new(match programs {
-            Some(cache) => match cache.get_or_parse(src) {
-                Ok(program) => classify_merged(&program),
-                Err(e) => ScriptAnalysis {
-                    verdict: Verdict::Inconclusive,
-                    features: crate::CanvasFeatures::default(),
-                    findings: vec![Finding {
-                        rule: RuleId::IncParse,
-                        detail: format!("parse failed: {e}"),
-                    }],
+        let (analysis, analyzed) = self.bodies.get_or_init(hash, src, "", || {
+            Arc::new(match programs {
+                Some(cache) => match cache.get_or_parse(src) {
+                    Ok(program) => classify_merged(&program),
+                    Err(e) => ScriptAnalysis {
+                        verdict: Verdict::Inconclusive,
+                        findings: vec![Finding {
+                            rule: RuleId::IncParse,
+                            detail: format!("parse failed: {e}"),
+                        }],
+                    },
                 },
-            },
-            None => classify_source_merged(src),
+                None => classify_source_merged(src),
+            })
         });
-        bucket.push(CacheEntry {
-            source: src.to_string(),
-            analysis: Arc::clone(&analysis),
-        });
-        ((hash, analysis), true)
+        let counter = if analyzed { &self.analyses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        ((hash, analysis), analyzed)
     }
 
     /// Number of distinct script bodies currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|poison| poison.into_inner())
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.bodies.len()
     }
 
     /// Whether the cache is empty.

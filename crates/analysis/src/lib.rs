@@ -4,20 +4,18 @@
 //! [`Program`] ASTs — the pre-execution
 //! counterpart to the paper's dynamic §3.2 interception heuristics.
 //!
-//! The pass has three layers:
+//! The pass has two layers:
 //!
-//! 1. **Feature extraction** ([`features`]) — a syntactic walk counting
-//!    canvas-API usage (`fillText`, `arc`, `toDataURL`, `getImageData`,
-//!    …), the literal text drawn, and animation-method usage (the paper's
-//!    third filter heuristic);
-//! 2. **Taint / dataflow analysis** ([`taint`]) — an intraprocedural
-//!    may-taint analysis from canvas-read sources (`toDataURL`,
-//!    `getImageData`) through variables, function calls (via summaries),
-//!    and string operations to network/storage sinks, also tracking each
-//!    canvas's literal dimensions and each read's requested MIME type;
-//! 3. **Verdict synthesis** — the feature vector and dataflow facts are
-//!    folded into a per-script [`Verdict`] mirroring the §3.2 exclusion
-//!    heuristics exactly, plus rule-ID'd [`Finding`]s for the lint tool.
+//! 1. **Taint / dataflow analysis** ([`taint`], or [`absint`] over the
+//!    compiled bytecode) — an intraprocedural may-taint analysis from
+//!    canvas-read sources (`toDataURL`, `getImageData`) through
+//!    variables, function calls (via summaries), and string operations to
+//!    network/storage sinks, also tracking each canvas's literal
+//!    dimensions, each read's requested MIME type, and animation-method
+//!    usage (the paper's third filter heuristic);
+//! 2. **Verdict synthesis** — the dataflow facts are folded into a
+//!    per-script [`Verdict`] mirroring the §3.2 exclusion heuristics
+//!    exactly, plus rule-ID'd [`Finding`]s for the lint tool.
 //!
 //! The classifier is deliberately *decision-compatible* with the dynamic
 //! detector: a script is `Fingerprinting` iff its reachable canvas reads
@@ -32,7 +30,6 @@
 
 pub mod absint;
 pub mod cache;
-pub mod features;
 mod proptests;
 pub mod taint;
 
@@ -41,7 +38,6 @@ use serde::{Deserialize, Serialize};
 use canvassing_script::Program;
 
 pub use cache::{AnalysisCache, AnalysisStats};
-pub use features::CanvasFeatures;
 pub use taint::{CanvasRead, DimClass, MimeClass, TaintFacts};
 
 /// The static per-script verdict.
@@ -175,8 +171,6 @@ pub struct Finding {
 pub struct ScriptAnalysis {
     /// The verdict.
     pub verdict: Verdict,
-    /// Syntactic canvas-API feature vector.
-    pub features: CanvasFeatures,
     /// Rule-ID'd findings supporting the verdict.
     pub findings: Vec<Finding>,
 }
@@ -206,9 +200,7 @@ const BYTECODE_RULES: RuleSet = RuleSet {
 /// pure core the [`AnalysisCache`] memoizes; callers inside a crawl
 /// should go through the cache so each unique body is analyzed once.
 pub fn classify(program: &Program) -> ScriptAnalysis {
-    let features = features::extract(program);
-    let facts = taint::analyze(program);
-    synthesize(features, &facts, &AST_RULES)
+    synthesize(&taint::analyze(program), &AST_RULES)
 }
 
 /// Classifies a compiled program with the bytecode abstract interpreter
@@ -217,9 +209,7 @@ pub fn classify(program: &Program) -> ScriptAnalysis {
 /// helper-call indirection are transparent). Findings use `CFB-*` rules.
 pub fn classify_bytecode(program: &Program) -> ScriptAnalysis {
     let bytecode = canvassing_script::compile(program);
-    let features = features::extract(program);
-    let facts = absint::analyze_compiled(&bytecode);
-    synthesize(features, &facts, &BYTECODE_RULES)
+    synthesize(&absint::analyze_compiled(&bytecode), &BYTECODE_RULES)
 }
 
 /// The two-engine cascade the crawl pipeline uses: the AST verdict
@@ -248,18 +238,13 @@ pub fn classify_merged(program: &Program) -> ScriptAnalysis {
     findings.extend(bytecode.findings);
     ScriptAnalysis {
         verdict: bytecode.verdict,
-        features: ast.features,
         findings,
     }
 }
 
-/// Folds one engine's taint facts and the shared feature vector into a
-/// verdict, mirroring the dynamic detector's §3.2 exclusion order.
-fn synthesize(
-    features: CanvasFeatures,
-    facts: &taint::TaintFacts,
-    rules: &RuleSet,
-) -> ScriptAnalysis {
+/// Folds one engine's taint facts into a verdict, mirroring the dynamic
+/// detector's §3.2 exclusion order.
+fn synthesize(facts: &taint::TaintFacts, rules: &RuleSet) -> ScriptAnalysis {
     let mut findings = Vec::new();
 
     if facts.reads.is_empty() {
@@ -269,7 +254,6 @@ fn synthesize(
         });
         return ScriptAnalysis {
             verdict: Verdict::Benign,
-            features,
             findings,
         };
     }
@@ -281,7 +265,6 @@ fn synthesize(
         });
         return ScriptAnalysis {
             verdict: Verdict::Benign,
-            features,
             findings,
         };
     }
@@ -327,11 +310,7 @@ fn synthesize(
         } else {
             Verdict::Benign
         };
-        return ScriptAnalysis {
-            verdict,
-            features,
-            findings,
-        };
+        return ScriptAnalysis { verdict, findings };
     }
 
     findings.push(Finding {
@@ -355,7 +334,6 @@ fn synthesize(
             exfil: facts.exfil,
             double_render: facts.double_render,
         },
-        features,
         findings,
     }
 }
@@ -368,7 +346,6 @@ pub fn classify_source(source: &str) -> ScriptAnalysis {
         Ok(program) => classify(&program),
         Err(e) => ScriptAnalysis {
             verdict: Verdict::Inconclusive,
-            features: CanvasFeatures::default(),
             findings: vec![Finding {
                 rule: RuleId::IncParse,
                 detail: format!("parse failed: {e}"),
@@ -384,7 +361,6 @@ pub fn classify_source_merged(source: &str) -> ScriptAnalysis {
         Ok(program) => classify_merged(&program),
         Err(e) => ScriptAnalysis {
             verdict: Verdict::Inconclusive,
-            features: CanvasFeatures::default(),
             findings: vec![Finding {
                 rule: RuleId::IncParse,
                 detail: format!("parse failed: {e}"),

@@ -39,7 +39,9 @@ use std::collections::{BTreeMap, HashMap};
 use canvassing_script::{AssignTarget, BinOp, Expr, FnDecl, Program, Stmt};
 use serde::{Deserialize, Serialize};
 
-use crate::features::ANIMATION_METHODS;
+/// Methods whose use marks a script as animating rather than
+/// fingerprinting — must match `canvassing::detect::ANIMATION_METHODS`.
+pub(crate) const ANIMATION_METHODS: &[&str] = &["save", "restore"];
 
 /// Minimum fingerprintable canvas edge — must match
 /// `canvassing::detect::MIN_CANVAS_EDGE`.
@@ -903,6 +905,28 @@ mod tests {
             "#,
         );
         assert!(f.exfil, "taint from either branch survives the join");
+    }
+
+    #[test]
+    fn non_literal_mime_is_dynamic_until_the_bytecode_engine_folds_it() {
+        let src = r#"
+            let fmt = "image/png";
+            let c = document.createElement("canvas");
+            c.toDataURL(fmt);
+        "#;
+        assert_eq!(facts(src).reads[0].mime, MimeClass::Dynamic);
+        let ast = crate::classify_source(src);
+        assert_eq!(ast.verdict, crate::Verdict::Inconclusive);
+        assert!(ast
+            .findings
+            .iter()
+            .any(|f| f.rule == crate::RuleId::IncDynMime));
+        let merged = crate::classify_source_merged(src);
+        assert!(merged.verdict.is_fingerprinting());
+        assert!(merged
+            .findings
+            .iter()
+            .any(|f| f.rule == crate::RuleId::CfbRecovered));
     }
 
     #[test]

@@ -31,23 +31,27 @@
 //! * **Tighter budgets.** An entry is replayed only when its canonical
 //!   step count fits the visit's remaining fuel; otherwise the script
 //!   executes in place and trips (or not) exactly as it would uncached.
-//! * **Hash collisions** (verified by full source comparison) and
-//!   canonical runs that panicked.
+//! * **Canonical runs that panicked.**
+//!
+//! ## Storage
+//!
+//! Entries live in a [`BodyMap`] keyed by the script's content hash and
+//! tagged with the device profile id, the compute-once map the compile
+//! and triage caches share: the full source and device id are compared
+//! on lookup, so a 64-bit hash collision gets its own entry instead of
+//! replaying the wrong script, and the canonical run happens outside the
+//! shard lock, exactly once per (script, device) pair.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use canvassing_analysis::AnalysisCache;
 use canvassing_dom::{ApiCall, Document, Extraction};
 use canvassing_raster::{DeviceProfile, SurfacePool};
 use canvassing_script::{
-    eval_compiled_with_budget, run_compiled_with_budget, source_hash, EvalOutcome, RuntimeError,
-    ScriptCache, DEFAULT_STEP_BUDGET,
+    eval_compiled_with_budget, run_compiled_with_budget, source_hash, BodyMap, EvalOutcome,
+    RuntimeError, ScriptCache, DEFAULT_STEP_BUDGET,
 };
-
-/// Number of independently locked shards in the memo map.
-const SHARDS: usize = 16;
 
 /// The canonical record of one (script body, device) render, normalized
 /// to a fresh document (clock 0, empty record, canvas indices from 0).
@@ -66,22 +70,13 @@ pub struct RenderEntry {
 }
 
 /// Outcome of the exactly-once canonical run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum MemoSlot {
     /// Canonical record available for replay.
     Ready(Arc<RenderEntry>),
     /// The canonical run panicked; this script always executes in place
     /// (and panics there exactly as it would uncached).
     Poisoned,
-}
-
-/// One memo cell: the verified source plus its lazily computed slot.
-/// `OnceLock` serializes the canonical run per key, so concurrent workers
-/// block on the computing worker instead of rendering redundantly —
-/// which also makes the compute count deterministic.
-struct MemoCell {
-    source: String,
-    slot: OnceLock<MemoSlot>,
 }
 
 /// Schedule-independent perf counters for one crawl. Every count is a
@@ -97,7 +92,7 @@ pub struct PerfCounters {
     /// Canonical scratch renders performed (== unique memo keys).
     pub memo_computes: AtomicU64,
     /// Memo lookups that fell back to in-place execution (budget too
-    /// tight, poisoned entry, or hash collision).
+    /// tight or poisoned entry).
     pub memo_bypasses: AtomicU64,
 }
 
@@ -171,29 +166,21 @@ impl CrawlCaches {
     }
 }
 
-/// One memo shard: (script hash, device profile id) → canonical render.
-type MemoShard = Mutex<HashMap<(u64, String), Arc<MemoCell>>>;
-
 /// The render memo map. `Arc`-share one instance across crawl workers.
 #[derive(Default)]
 pub struct RenderMemo {
-    shards: Vec<MemoShard>,
+    renders: BodyMap<MemoSlot>,
 }
 
 impl RenderMemo {
     /// Creates an empty memo.
     pub fn new() -> RenderMemo {
-        RenderMemo {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-        }
+        RenderMemo::default()
     }
 
     /// Number of (script, device) keys memoized so far.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
+        self.renders.len()
     }
 
     /// Whether the memo is empty.
@@ -217,42 +204,20 @@ impl RenderMemo {
         perf: &PerfCounters,
     ) -> Option<Arc<RenderEntry>> {
         let hash = source_hash(source);
-        let key = (hash, device.id.clone());
-        let shard = &self.shards[(hash as usize) % SHARDS];
-        let cell = {
-            let mut map = shard.lock().unwrap_or_else(|p| p.into_inner());
-            Arc::clone(map.entry(key).or_insert_with(|| {
-                Arc::new(MemoCell {
-                    source: source.to_string(),
-                    slot: OnceLock::new(),
-                })
-            }))
-        };
-        if cell.source != source {
-            // 64-bit collision: never replay the wrong script.
-            perf.memo_bypasses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut computed = false;
-        let slot = cell.slot.get_or_init(|| {
-            computed = true;
-            perf.memo_computes.fetch_add(1, Ordering::Relaxed);
+        let (slot, computed) = self.renders.get_or_init(hash, source, &device.id, || {
             compute_canonical(source, device, scripts)
         });
-        match slot {
-            MemoSlot::Ready(entry) if entry.steps <= budget => {
-                if !computed {
-                    perf.memo_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(Arc::clone(entry))
-            }
-            _ => {
-                if !computed {
-                    perf.memo_bypasses.fetch_add(1, Ordering::Relaxed);
-                }
-                None
-            }
-        }
+        let replay = match slot {
+            MemoSlot::Ready(entry) if entry.steps <= budget => Some(entry),
+            _ => None,
+        };
+        let counter = match (computed, &replay) {
+            (true, _) => &perf.memo_computes,
+            (false, Some(_)) => &perf.memo_hits,
+            (false, None) => &perf.memo_bypasses,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        replay
     }
 }
 

@@ -14,10 +14,11 @@
 //! remaining chunk. Records reach the caller's sink in frontier order;
 //! [`crawl`] collects them into a [`CrawlDataset`], streaming callers
 //! fold them as they arrive. Two paths visit sites outside that loop:
-//! [`resume_crawl`] hands its non-contiguous todo indices straight to the
-//! chunk scheduler, and the shard supervisor ([`supervise_crawl`]), the
-//! only code that shards a frontier or spills records to disk, visits
-//! one site at a time through [`SiteCrawler`]. Each
+//! [`resume_crawl`] and the supervised merge hand the frontier slots they
+//! hold no record for straight to the chunk scheduler, and the shard
+//! supervisor ([`supervise_crawl`]), the only code that shards a frontier
+//! or spills records to disk, visits one site at a time through
+//! [`SiteCrawler`]. Each
 //! [`SiteRecord`] is a pure function of `(network, url, config)`, so
 //! datasets are byte-identical regardless of scheduling, chunk size or
 //! worker count. Workers share a [`CrawlCaches`] (compiled-script cache
@@ -780,8 +781,27 @@ pub fn resume_crawl(
 ) -> CrawlDataset {
     let done: std::collections::BTreeMap<&Url, &SiteRecord> =
         checkpoint.records.iter().map(|r| (&r.url, r)).collect();
-    let todo: Vec<usize> = (0..frontier.len())
-        .filter(|&i| !done.contains_key(&frontier[i]))
+    let slots = frontier
+        .iter()
+        .map(|url| done.get(url).map(|&record| record.clone()))
+        .collect();
+    fill_gaps(network, frontier, config, slots)
+}
+
+/// Completes a dataset whose records sit in frontier slots
+/// (`slots[i]` holds `frontier[i]`'s record, if one was recovered):
+/// crawls exactly the empty slots and returns every record in frontier
+/// order. The records already in place are moved, never copied.
+pub(crate) fn fill_gaps(
+    network: &Network,
+    frontier: &[Url],
+    config: &CrawlConfig,
+    slots: Vec<Option<SiteRecord>>,
+) -> CrawlDataset {
+    let todo: Vec<usize> = slots
+        .iter()
+        .enumerate()
+        .filter_map(|(i, slot)| slot.is_none().then_some(i))
         .collect();
     let caches = config.build_caches();
     // The plan is computed over the FULL frontier, not the todo subset:
@@ -791,14 +811,11 @@ pub fn resume_crawl(
     let (fresh, traces) = crawl_chunk(network, frontier, config, &todo, &caches, plan.as_ref());
     let _ = flush_traces(config, traces);
     // `fresh` holds the todo sites in frontier order, so one walk over
-    // the frontier interleaves it with the checkpoint.
+    // the slots interleaves it with the records already in place.
     let mut fresh = fresh.into_iter();
-    let records = frontier
-        .iter()
-        .filter_map(|url| match done.get(url) {
-            Some(&record) => Some(record.clone()),
-            None => fresh.next(),
-        })
+    let records = slots
+        .into_iter()
+        .filter_map(|slot| slot.or_else(|| fresh.next()))
         .collect();
     CrawlDataset {
         label: config.label.clone(),

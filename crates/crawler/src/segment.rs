@@ -14,15 +14,18 @@
 //! of one shard never collide on a file, and a lexicographic sort of the
 //! spill directory is `(shard, epoch, seq)` order without any manifest.
 //!
-//! The merge ([`crate::merge_supervised`]) recovers every segment,
-//! deduplicates the valid prefixes by site, and hands the union to
-//! [`crate::resume_crawl`] — which recrawls whatever the spill lost and,
-//! because the breaker plan is always computed over the *full* frontier,
-//! produces a dataset byte-identical to a single uninterrupted crawl.
+//! The merge ([`crate::merge_supervised`]) recovers every segment and
+//! moves each record of the valid prefixes into its frontier slot, the
+//! first occurrence of a site winning; it then crawls the empty slots —
+//! whatever the spill lost — through the gap fill [`crate::resume_crawl`]
+//! also uses. Because the breaker plan is always computed over the *full*
+//! frontier, the result is a dataset byte-identical to a single
+//! uninterrupted crawl, and each record is held once, never copied.
 //! That identity is the merge's proof obligation and what
 //! `tests/streaming_equivalence.rs`, `tests/checkpoint_recovery.rs` and
 //! `tests/supervisor_chaos.rs` sweep.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io::{self, BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -33,7 +36,7 @@ use canvassing_trace::{TraceSink, VisitRecorder};
 
 use crate::checkpoint::{recover, CheckpointWriter};
 use crate::dataset::{CrawlDataset, SiteRecord};
-use crate::{resume_crawl, CrawlConfig};
+use crate::{fill_gaps, CrawlConfig};
 
 /// Rolls visit records into bounded CRC-framed segment files.
 ///
@@ -248,21 +251,23 @@ pub struct MergeReport {
     pub recrawled: usize,
 }
 
-/// Recovers every segment, merges the valid prefixes, and resumes the
-/// crawl over the full frontier to fill any gaps.
+/// Recovers every segment, moves each recovered record into its
+/// frontier slot, and crawls the empty slots to fill the gaps.
 ///
-/// Because [`resume_crawl`] computes the breaker plan over the complete
+/// Because the gap fill computes the breaker plan over the complete
 /// frontier and every [`SiteRecord`] is a pure function of
 /// `(network, url, config)`, the merged dataset is byte-identical to a
 /// single uninterrupted crawl — regardless of shard count, segment size,
 /// how many segments were torn, or the order segments are listed in.
 /// Duplicate safety: segments are read in the given order (the caller
 /// passes a name-sorted list, i.e. `(shard, epoch, seq)` order) and
-/// records deduplicate by site — the first occurrence wins. Re-executed
-/// shard work is therefore *dropped*, not double-counted, and because
-/// every execution of a site produces the identical record, which
-/// occurrence wins is immaterial to the dataset. The exact accounting
-/// lands in [`MergeReport::duplicates_dropped`].
+/// records deduplicate by site — the first occurrence wins its slot.
+/// Re-executed shard work is therefore *dropped*, not double-counted,
+/// and because every execution of a site produces the identical record,
+/// which occurrence wins is immaterial to the dataset. The exact
+/// accounting lands in [`MergeReport::duplicates_dropped`]. A record
+/// whose site is not in the frontier counts as recovered but is not
+/// kept; a site listed twice in the frontier fills its first slot.
 pub(crate) fn merge_segments(
     network: &Network,
     frontier: &[Url],
@@ -270,14 +275,13 @@ pub(crate) fn merge_segments(
     segments: &[PathBuf],
     trace: Option<&Arc<dyn TraceSink>>,
 ) -> io::Result<(CrawlDataset, MergeReport)> {
-    let mut combined = CrawlDataset {
-        label: config.label.clone(),
-        device_id: config.device.id.clone(),
-        records: Vec::new(),
-    };
-    let mut seen: std::collections::BTreeSet<Url> = std::collections::BTreeSet::new();
-    let mut dirty = 0usize;
-    let mut total = 0usize;
+    let mut position: BTreeMap<&Url, usize> = BTreeMap::new();
+    for (i, url) in frontier.iter().enumerate() {
+        position.entry(url).or_insert(i);
+    }
+    let mut slots: Vec<Option<SiteRecord>> = frontier.iter().map(|_| None).collect();
+    let mut strays: BTreeSet<Url> = BTreeSet::new();
+    let (mut dirty, mut total, mut unique) = (0usize, 0usize, 0usize);
     for path in segments {
         let (records, clean) = recover_segment(path)?;
         if !clean {
@@ -288,14 +292,19 @@ pub(crate) fn merge_segments(
         });
         for record in records {
             total += 1;
-            if seen.insert(record.url.clone()) {
-                combined.records.push(record);
-            }
+            let first = match position.get(&record.url).and_then(|&i| slots.get_mut(i)) {
+                Some(slot) if slot.is_none() => {
+                    *slot = Some(record);
+                    true
+                }
+                Some(_) => false,
+                None => strays.insert(record.url),
+            };
+            unique += usize::from(first);
         }
     }
-    let unique = combined.records.len();
-    let recrawled = frontier.iter().filter(|u| !seen.contains(u)).count();
-    let merged = resume_crawl(network, frontier, config, &combined);
+    let recrawled = slots.iter().filter(|slot| slot.is_none()).count();
+    let merged = fill_gaps(network, frontier, config, slots);
     let report = MergeReport {
         segments: segments.len(),
         records_recovered: unique,

@@ -191,6 +191,7 @@ pub fn decode(data: &[u8]) -> Option<Surface> {
 mod tests {
     use super::*;
     use crate::color::Color;
+    use crate::proptests::{Lcg, CASES};
 
     #[test]
     fn crc32_known_vectors() {
@@ -252,34 +253,36 @@ mod tests {
         assert_eq!(decode(&png).unwrap().width(), 0);
     }
 
-    #[cfg(test)]
-    mod props {
-        // The proptest stub swallows test bodies; imports look unused.
-        #![allow(unused_imports)]
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #[test]
-            fn zlib_roundtrips(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-                prop_assert_eq!(zlib_unstore(&zlib_store(&data)).unwrap(), data);
-            }
-
-            #[test]
-            fn png_roundtrips_random_pixels(
-                w in 1u32..12, h in 1u32..12,
-                seed in any::<u64>(),
-            ) {
-                let mut s = Surface::new(w, h);
-                let mut x = seed | 1;
-                let data = s.data_mut();
-                for b in data.iter_mut() {
-                    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
-                    *b = x as u8;
-                }
-                let back = decode(&encode(&s)).unwrap();
-                prop_assert_eq!(back, s);
-            }
+    /// Any byte string round-trips through the stored zlib stream.
+    #[test]
+    fn zlib_roundtrips_random_bytes() {
+        let mut longest = 0;
+        for case in 0..CASES {
+            let data = Lcg::case(31, case).bytes(0, 4096);
+            assert_eq!(
+                zlib_unstore(&zlib_store(&data)).as_deref(),
+                Some(&data[..]),
+                "case {case}"
+            );
+            longest = longest.max(data.len());
         }
+        assert!(longest > 3000, "longest input {longest} bytes");
+    }
+
+    /// Surfaces of random size and random pixels round-trip through PNG.
+    #[test]
+    fn png_roundtrips_random_pixels() {
+        let mut widths = std::collections::BTreeSet::new();
+        for case in 0..CASES {
+            let mut rng = Lcg::case(32, case);
+            let (w, h) = (1 + rng.below(11) as u32, 1 + rng.below(11) as u32);
+            let mut s = Surface::new(w, h);
+            for b in s.data_mut().iter_mut() {
+                *b = rng.byte();
+            }
+            assert_eq!(decode(&encode(&s)).as_ref(), Some(&s), "case {case}");
+            widths.insert(w);
+        }
+        assert_eq!(widths.len(), 11, "widths drawn: {widths:?}");
     }
 }

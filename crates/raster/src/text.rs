@@ -82,7 +82,9 @@ impl Default for FontSpec {
 
 /// Parses a CSS font shorthand like `italic 700 14px "Arial"` or
 /// `11pt no-real-font-123`. Returns `None` when no size token is present
-/// (the canvas then keeps its previous font, per spec).
+/// (the canvas then keeps its previous font, per spec). A negative or
+/// non-finite size (`-3px`, `infpx`, `1e999em`) is no size token, as in
+/// CSS.
 pub fn parse_font(input: &str) -> Option<FontSpec> {
     let mut spec = FontSpec::default();
     let mut size_seen = false;
@@ -100,7 +102,7 @@ pub fn parse_font(input: &str) -> Option<FontSpec> {
             "bolder" => spec.weight = 800,
             "lighter" => spec.weight = 300,
             _ => {
-                if let Some(size) = parse_size(&lower) {
+                if let Some(size) = parse_size(&lower).filter(|s| s.is_finite() && *s >= 0.0) {
                     spec.size_px = size;
                     size_seen = true;
                 } else if let Ok(w) = lower.parse::<u16>() {

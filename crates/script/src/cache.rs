@@ -1,4 +1,4 @@
-//! Shared compiled-script cache.
+//! Shared compiled-script cache, and the compute-once body map under it.
 //!
 //! A crawl visits tens of thousands of pages that overwhelmingly serve the
 //! *same* handful of vendor fingerprinting scripts (the paper attributes
@@ -8,25 +8,32 @@
 //! shares them across crawl workers behind an `Arc`, so each unique script
 //! body is lexed and parsed **exactly once per crawl**.
 //!
-//! Design points:
+//! Three per-body memos share one map, [`BodyMap`]: this cache, the
+//! static-analysis triage cache (`canvassing_analysis::AnalysisCache`) and
+//! the render memo (`canvassing_browser::RenderMemo`). The map holds the
+//! design points they have in common:
 //!
-//! * **Lock-sharded** — the map is split across `SHARDS` independent
-//!   mutexes selected by the content hash, so workers compiling different
-//!   scripts never contend on one lock.
-//! * **Parse-under-lock** — a miss parses while holding its shard lock.
-//!   This serializes compilation of *the same* script (another worker
-//!   asking for the same body blocks and then hits), which is what makes
-//!   the "exactly once" guarantee hold and keeps the cache's parse count
-//!   deterministic across worker counts and schedules.
-//! * **Collision-proof** — entries store the full source text and verify
-//!   it on lookup; a 64-bit hash collision degrades to a second cache
-//!   entry, never to running the wrong program.
+//! * **Lock-sharded** — cells live in `SHARDS` independent mutexes
+//!   selected by the content hash, so workers looking up different
+//!   bodies rarely contend on one lock.
+//! * **Compute outside the lock, exactly once** — a shard lock is held
+//!   only to find or insert a body's cell; the value is computed through
+//!   the cell's `OnceLock`. Concurrent lookups of *the same* body block
+//!   on the one computing caller and then hit, so the compute count is
+//!   deterministic across worker counts and schedules, and a slow
+//!   compute never blocks lookups of other bodies in its shard.
+//! * **Collision-proof** — cells store the full body (and a tag, such as
+//!   a device id) and compare both on lookup; a 64-bit hash collision
+//!   degrades to a second cell, never to the wrong value.
+//!
+//! On top of the map, this cache adds:
+//!
 //! * **Failures cached too** — a body that fails to parse fails
 //!   identically on every site that serves it; the [`ParseError`] is
 //!   cached so broken scripts also cost one parse attempt per crawl.
 //! * **Bytecode rides along** — execution paths ask for
 //!   [`ScriptCache::get_or_compile`], which lazily lowers the parsed
-//!   program to VM bytecode (once per body, under the same shard lock)
+//!   program to VM bytecode (once per body, through a second `OnceLock`)
 //!   and returns both halves as an [`ExecutableScript`]. Parse-only
 //!   consumers (static analysis triage) keep using
 //!   [`ScriptCache::get_or_parse`] and never pay for compilation;
@@ -35,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::ast::Program;
 use crate::bytecode::CompiledProgram;
@@ -43,7 +50,7 @@ use crate::parser::{parse, ParseError};
 
 /// Number of independently locked shards. A small power of two is plenty:
 /// the hot set is a dozen vendor scripts, and the goal is only to keep
-/// unrelated compilations from serializing.
+/// unrelated lookups from serializing.
 const SHARDS: usize = 16;
 
 /// FNV-1a content hash of a script body (the cache key).
@@ -56,15 +63,103 @@ pub fn source_hash(src: &str) -> u64 {
     h
 }
 
-/// One cached compilation: the verified source text plus the outcome.
-/// Bytecode is compiled lazily — triage paths ([`crate::parse`]-only
-/// consumers like the static analyzer) never pay for it, and execution
-/// paths compile it at most once per unique body (compile-under-lock,
-/// like parsing).
-struct CacheEntry {
-    source: String,
-    compiled: Result<Arc<Program>, ParseError>,
-    bytecode: Option<Arc<CompiledProgram>>,
+/// One `(body, tag)` pair's cell: the full body and tag it was filed
+/// under, and its value once computed.
+struct Cell<V> {
+    body: String,
+    tag: String,
+    value: OnceLock<V>,
+}
+
+/// One shard: content hash → the cells filed under it (more than one when
+/// tags differ or on a 64-bit collision).
+type Shard<V> = Mutex<HashMap<u64, Vec<Arc<Cell<V>>>>>;
+
+/// A sharded, compute-once map from a script body (plus a tag) to a
+/// value, `Arc`-shareable across crawl workers. See the module docs.
+pub struct BodyMap<V> {
+    shards: Vec<Shard<V>>,
+}
+
+impl<V> Default for BodyMap<V> {
+    fn default() -> BodyMap<V> {
+        BodyMap {
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+        }
+    }
+}
+
+impl<V: Clone> BodyMap<V> {
+    /// Returns the value of `(body, tag)`, running `init` to compute it if
+    /// this pair has no value yet. `hash` is [`source_hash`] of `body`,
+    /// passed in so a lookup hashes the body once; cells compare the full
+    /// body and tag, so two bodies under one hash never share a value.
+    ///
+    /// The shard lock is held only to find or insert the pair's cell;
+    /// `init` runs outside it, once per pair, while concurrent lookups of
+    /// the same pair wait for it. The flag is true for the one lookup
+    /// whose `init` ran.
+    pub fn get_or_init(
+        &self,
+        hash: u64,
+        body: &str,
+        tag: &str,
+        init: impl FnOnce() -> V,
+    ) -> (V, bool) {
+        let cell = {
+            // No caller code runs under a shard lock and an insert leaves
+            // the map whole, so a poisoned lock's map is still sound.
+            let mut map = self.shards[(hash as usize) % SHARDS]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            let cells = map.entry(hash).or_default();
+            match cells.iter().find(|c| c.body == body && c.tag == tag) {
+                Some(cell) => Arc::clone(cell),
+                None => {
+                    let cell = Arc::new(Cell {
+                        body: body.to_string(),
+                        tag: tag.to_string(),
+                        value: OnceLock::new(),
+                    });
+                    cells.push(Arc::clone(&cell));
+                    cell
+                }
+            }
+        };
+        let mut ran = false;
+        let value = cell.value.get_or_init(|| {
+            ran = true;
+            init()
+        });
+        (value.clone(), ran)
+    }
+
+    /// Number of `(body, tag)` cells in the map.
+    pub fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .values()
+                    .map(Vec::len)
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+
+    /// Whether the map is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// One body's parse outcome, plus its bytecode once an execution path
+/// asked for it. Triage paths ([`crate::parse`]-only consumers like the
+/// static analyzer) never pay for compilation.
+struct Parsed {
+    program: Result<Arc<Program>, ParseError>,
+    bytecode: OnceLock<Arc<CompiledProgram>>,
 }
 
 /// A ready-to-execute cached script: the parsed program (the tree-walker
@@ -80,7 +175,7 @@ pub struct ExecutableScript {
 
 /// Cumulative cache counters. All counts are deterministic for a given
 /// workload regardless of worker count or scheduling (see the
-/// parse-under-lock note in the module docs).
+/// exactly-once note in the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScriptCacheStats {
     /// Lookups answered from the cache.
@@ -110,17 +205,12 @@ impl ScriptCacheStats {
 }
 
 /// A sharded, `Arc`-shareable compile cache. See the module docs.
+#[derive(Default)]
 pub struct ScriptCache {
-    shards: Vec<Mutex<HashMap<u64, Vec<CacheEntry>>>>,
+    bodies: BodyMap<Arc<Parsed>>,
     hits: AtomicU64,
     parses: AtomicU64,
     compiles: AtomicU64,
-}
-
-impl Default for ScriptCache {
-    fn default() -> ScriptCache {
-        ScriptCache::new()
-    }
 }
 
 /// Compiles a program, running the bytecode verifier on the result in
@@ -139,155 +229,46 @@ fn compile_checked(program: &Program) -> crate::CompiledProgram {
 impl ScriptCache {
     /// Creates an empty cache.
     pub fn new() -> ScriptCache {
-        ScriptCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            parses: AtomicU64::new(0),
-            compiles: AtomicU64::new(0),
-        }
+        ScriptCache::default()
     }
 
     /// Returns the compiled program for `src`, lexing and parsing it only
     /// if this exact body has never been seen by this cache. Never
     /// compiles bytecode — this is the triage/analysis path.
     pub fn get_or_parse(&self, src: &str) -> Result<Arc<Program>, ParseError> {
-        self.lookup(src, false).outcome
+        self.lookup(src).program.clone()
     }
 
     /// Returns the full execution unit (parsed program + bytecode) for
     /// `src`. Parses and bytecode-compiles each at most once per unique
-    /// body, both under the shard lock, so the `parses` and `compiles`
-    /// counters stay deterministic across worker counts and schedules.
+    /// body, so the `parses` and `compiles` counters stay deterministic
+    /// across worker counts and schedules.
     pub fn get_or_compile(&self, src: &str) -> Result<ExecutableScript, ParseError> {
-        let looked = self.lookup(src, true);
-        let program = looked.outcome?;
-        match looked.bytecode {
-            Some(bytecode) => Ok(ExecutableScript { program, bytecode }),
-            // Unreachable: lookup(_, true) compiles whenever the parse
-            // succeeded. Compile here rather than panic.
-            None => Ok(ExecutableScript {
-                bytecode: Arc::new(compile_checked(&program)),
-                program,
-            }),
-        }
+        let parsed = self.lookup(src);
+        let program = parsed.program.clone()?;
+        let bytecode = Arc::clone(parsed.bytecode.get_or_init(|| {
+            self.compiles.fetch_add(1, Ordering::Relaxed);
+            Arc::new(compile_checked(&program))
+        }));
+        Ok(ExecutableScript { program, bytecode })
     }
 
-    /// [`ScriptCache::get_or_parse`] with trace instrumentation: records a
-    /// `script.lookup` instant (the content hash — stable across runs) and
-    /// bumps the crawl-wide `script.cache.hit` / `script.cache.parse`
-    /// counters on the recorder's registry.
-    ///
-    /// Note the event stream carries only the *lookup*, never whether it
-    /// hit: under concurrent workers, which visit pays the parse is a
-    /// scheduling accident, so hit/parse attribution lives in the shared
-    /// counters (whose totals stay deterministic — parse-under-lock) and
-    /// per-visit streams stay schedule-independent.
-    pub fn get_or_parse_traced(
-        &self,
-        src: &str,
-        rec: &canvassing_trace::VisitRecorder,
-    ) -> Result<Arc<Program>, ParseError> {
-        let looked = self.lookup(src, false);
-        self.record_lookup(src, &looked, rec);
-        looked.outcome
-    }
-
-    /// [`ScriptCache::get_or_compile`] with the same trace discipline as
-    /// [`ScriptCache::get_or_parse_traced`], plus a
-    /// `script.cache.compile` counter bump when this lookup performed the
-    /// body's one bytecode compilation. Like hit/parse, compile
-    /// attribution lives only in the shared registry counters (whose
-    /// totals are schedule-independent), never in per-visit streams.
-    pub fn get_or_compile_traced(
-        &self,
-        src: &str,
-        rec: &canvassing_trace::VisitRecorder,
-    ) -> Result<ExecutableScript, ParseError> {
-        let looked = self.lookup(src, true);
-        self.record_lookup(src, &looked, rec);
-        let program = looked.outcome?;
-        match looked.bytecode {
-            Some(bytecode) => Ok(ExecutableScript { program, bytecode }),
-            None => Ok(ExecutableScript {
-                bytecode: Arc::new(compile_checked(&program)),
-                program,
-            }),
-        }
-    }
-
-    fn record_lookup(&self, src: &str, looked: &Looked, rec: &canvassing_trace::VisitRecorder) {
-        if !rec.enabled() {
-            return;
-        }
-        rec.instant("script.lookup", || format!("{:016x}", source_hash(src)));
-        rec.bump(if looked.was_parse {
-            "script.cache.parse"
-        } else {
-            "script.cache.hit"
+    /// The shared lookup path: the body's entry, parsed on first sight.
+    fn lookup(&self, src: &str) -> Arc<Parsed> {
+        let (parsed, parsed_now) = self.bodies.get_or_init(source_hash(src), src, "", || {
+            Arc::new(Parsed {
+                program: parse(src).map(Arc::new),
+                bytecode: OnceLock::new(),
+            })
         });
-        if looked.was_compile {
-            rec.bump("script.cache.compile");
-        }
-    }
-
-    /// The shared lookup path. With `want_bytecode`, ensures the entry
-    /// carries compiled bytecode (compiling it now, under the shard lock,
-    /// if this is the body's first execution-path lookup).
-    fn lookup(&self, src: &str, want_bytecode: bool) -> Looked {
-        let hash = source_hash(src);
-        let shard = &self.shards[(hash as usize) % SHARDS];
-        let mut map = shard.lock().unwrap_or_else(|poison| poison.into_inner());
-        let bucket = map.entry(hash).or_default();
-        let (entry, was_parse) = match bucket.iter().position(|e| e.source == src) {
-            Some(i) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                (&mut bucket[i], false)
-            }
-            None => {
-                // Miss: compile while holding the shard lock so
-                // concurrent requests for the same body block instead of
-                // re-parsing.
-                self.parses.fetch_add(1, Ordering::Relaxed);
-                let compiled = parse(src).map(Arc::new);
-                bucket.push(CacheEntry {
-                    source: src.to_string(),
-                    compiled,
-                    bytecode: None,
-                });
-                let at = bucket.len() - 1;
-                (&mut bucket[at], true)
-            }
-        };
-        let mut was_compile = false;
-        if want_bytecode && entry.bytecode.is_none() {
-            if let Ok(program) = &entry.compiled {
-                // Still under the shard lock: the same once-per-body
-                // guarantee (and determinism) as parsing.
-                self.compiles.fetch_add(1, Ordering::Relaxed);
-                was_compile = true;
-                entry.bytecode = Some(Arc::new(compile_checked(program)));
-            }
-        }
-        Looked {
-            outcome: entry.compiled.clone(),
-            bytecode: entry.bytecode.clone(),
-            was_parse,
-            was_compile,
-        }
+        let counter = if parsed_now { &self.parses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        parsed
     }
 
     /// Number of distinct script bodies currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap_or_else(|poison| poison.into_inner())
-                    .values()
-                    .map(Vec::len)
-                    .sum::<usize>()
-            })
-            .sum()
+        self.bodies.len()
     }
 
     /// Whether the cache is empty.
@@ -303,14 +284,6 @@ impl ScriptCache {
             compiles: self.compiles.load(Ordering::Relaxed),
         }
     }
-}
-
-/// Result of one [`ScriptCache::lookup`].
-struct Looked {
-    outcome: Result<Arc<Program>, ParseError>,
-    bytecode: Option<Arc<CompiledProgram>>,
-    was_parse: bool,
-    was_compile: bool,
 }
 
 #[cfg(test)]
@@ -385,52 +358,15 @@ mod tests {
         assert!((cache.stats().hit_rate() - 0.75).abs() < 1e-9);
     }
 
-    #[test]
-    fn traced_lookup_records_instant_and_counters() {
-        use canvassing_trace::{EventKind, MetricsRegistry, VisitRecorder};
-        let cache = ScriptCache::new();
-        let reg = Arc::new(MetricsRegistry::new());
-        let rec = VisitRecorder::new("v", Some(Arc::clone(&reg)));
-        let src = "let x = 2; x + 2;";
-        let a = cache.get_or_parse_traced(src, &rec).unwrap();
-        let b = cache.get_or_parse_traced(src, &rec).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let snap = reg.snapshot();
-        assert_eq!(snap.counters["script.cache.parse"], 1);
-        assert_eq!(snap.counters["script.cache.hit"], 1);
-        let trace = rec.finish().unwrap();
-        let lookups: Vec<&String> = trace
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::Instant { name, detail, .. } if *name == "script.lookup" => Some(detail),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(lookups.len(), 2);
-        assert_eq!(lookups[0], lookups[1], "same body, same content hash");
-        assert_eq!(*lookups[0], format!("{:016x}", source_hash(src)));
-
-        // A disabled recorder records nothing and still shares the entry.
-        let off = VisitRecorder::disabled();
-        let c = cache.get_or_parse_traced(src, &off).unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
-    }
-
-    /// Seeded exhaustive form of the `traced_counters_partition_lookups`
-    /// property (the offline proptest stub compiles but does not sample,
-    /// so this pins the invariant with a deterministic LCG-driven
-    /// sequence): hit + parse counters partition traced lookups, parses
-    /// equal distinct bodies, and cached programs match direct parses.
+    /// Seeded LCG sequences of lookups over six bodies: hits and parses
+    /// partition the lookups, parses equal distinct bodies, and cached
+    /// programs match direct parses.
     #[test]
     fn counters_partition_lookups_seeded() {
-        use canvassing_trace::{MetricsRegistry, VisitRecorder};
         let bodies: Vec<String> = (0..6).map(|i| format!("{i} + {i};")).collect();
         let mut lcg: u64 = 0x2545f4914f6cdd1d;
         for round in 0..4 {
             let cache = ScriptCache::new();
-            let reg = Arc::new(MetricsRegistry::new());
-            let rec = VisitRecorder::new("seeded", Some(Arc::clone(&reg)));
             let mut distinct = std::collections::BTreeSet::new();
             let lookups = 16 + round * 8;
             for _ in 0..lookups {
@@ -438,22 +374,38 @@ mod tests {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let pick = (lcg >> 33) as usize % bodies.len();
-                let cached = cache.get_or_parse_traced(&bodies[pick], &rec).unwrap();
+                let cached = cache.get_or_parse(&bodies[pick]).unwrap();
                 let direct = parse(&bodies[pick]).unwrap();
                 assert_eq!(*cached, direct, "cache must be transparent");
                 distinct.insert(pick);
             }
-            let snap = reg.snapshot();
-            let hits = snap.counters.get("script.cache.hit").copied().unwrap_or(0);
-            let parses = snap
-                .counters
-                .get("script.cache.parse")
-                .copied()
-                .unwrap_or(0);
-            assert_eq!(hits + parses, lookups as u64);
-            assert_eq!(parses, distinct.len() as u64);
-            assert_eq!(cache.stats().lookups(), lookups as u64);
+            let stats = cache.stats();
+            assert_eq!(stats.hits + stats.parses, lookups as u64);
+            assert_eq!(stats.parses, distinct.len() as u64);
+            assert_eq!(cache.len(), distinct.len());
         }
+    }
+
+    /// Two different bodies filed under one hash (a forced 64-bit
+    /// collision) get two cells and two computes, and neither sees the
+    /// other's value; so do two tags of one body.
+    #[test]
+    fn colliding_bodies_and_tags_get_their_own_cells() {
+        let map: BodyMap<String> = BodyMap::default();
+        let computes = AtomicU64::new(0);
+        let lookup = |body: &str, tag: &str| {
+            map.get_or_init(7, body, tag, || {
+                computes.fetch_add(1, Ordering::Relaxed);
+                format!("{body}/{tag}")
+            })
+        };
+        assert_eq!(lookup("a;", ""), ("a;/".to_string(), true));
+        assert_eq!(lookup("b;", ""), ("b;/".to_string(), true));
+        assert_eq!(lookup("a;", "m1"), ("a;/m1".to_string(), true));
+        assert_eq!(lookup("b;", ""), ("b;/".to_string(), false));
+        assert_eq!(lookup("a;", ""), ("a;/".to_string(), false));
+        assert_eq!(map.len(), 3);
+        assert_eq!(computes.load(Ordering::Relaxed), 3);
     }
 
     #[test]

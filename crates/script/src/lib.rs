@@ -51,7 +51,7 @@ pub mod vm;
 
 pub use ast::{AssignTarget, BinOp, Expr, FnDecl, Program, Stmt, UnOp};
 pub use bytecode::{disassemble, Chunk, CompiledProgram};
-pub use cache::{source_hash, ExecutableScript, ScriptCache, ScriptCacheStats};
+pub use cache::{source_hash, BodyMap, ExecutableScript, ScriptCache, ScriptCacheStats};
 pub use compile::compile;
 pub use interp::{eval, eval_with_budget, run, run_with_budget, EvalOutcome, DEFAULT_STEP_BUDGET};
 pub use parser::{parse, ParseError};

@@ -3,18 +3,18 @@
 //! differential suite that locks the bytecode VM to the tree-walking
 //! oracle (identical results, host-effect sequences, step counts, and
 //! fuel-exhaustion outcomes — including exhaustion mid-loop and
-//! mid-call).
+//! mid-call). Each property is a seeded LCG loop, so a failure replays
+//! exactly from its case number, and each asserts that its generator
+//! reached the shapes the property can break on.
 
 #![cfg(test)]
-// The proptest stub expands test bodies to nothing, so strategy
-// helpers and imports look unused to rustc.
-#![allow(unused_imports, dead_code)]
-
-use proptest::prelude::*;
 
 use crate::cache::ScriptCache;
 use crate::interp::eval;
 use crate::value::{Host, HostRef, NullHost, RuntimeError, Value};
+
+/// Cases per property.
+const CASES: u64 = 256;
 
 /// A random arithmetic expression together with its expected value,
 /// generated structurally so the Rust reference and the canvascript
@@ -23,64 +23,124 @@ use crate::value::{Host, HostRef, NullHost, RuntimeError, Value};
 struct ArithExpr {
     source: String,
     expected: f64,
+    depth: usize,
 }
 
-fn leaf() -> impl Strategy<Value = ArithExpr> {
-    // Small integers keep f64 arithmetic exact.
-    (-50i32..50).prop_map(|n| ArithExpr {
-        source: if n < 0 {
-            format!("(0 - {})", -n)
-        } else {
-            n.to_string()
-        },
-        expected: n as f64,
-    })
-}
-
-fn arith() -> impl Strategy<Value = ArithExpr> {
-    leaf().prop_recursive(4, 32, 2, |inner| {
-        (inner.clone(), inner, 0..3u8).prop_map(|(a, b, op)| match op {
-            0 => ArithExpr {
-                source: format!("({} + {})", a.source, b.source),
-                expected: a.expected + b.expected,
-            },
-            1 => ArithExpr {
-                source: format!("({} - {})", a.source, b.source),
-                expected: a.expected - b.expected,
-            },
-            _ => ArithExpr {
-                source: format!("({} * {})", a.source, b.source),
-                expected: a.expected * b.expected,
-            },
-        })
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The interpreter agrees with a structurally generated reference on
-    /// integer arithmetic.
-    #[test]
-    fn arithmetic_matches_reference(expr in arith()) {
-        let v = eval(&format!("{};", expr.source), &mut NullHost).unwrap();
-        prop_assert_eq!(v.as_num(), Some(expr.expected));
+impl Lcg {
+    /// The generator for one case of one property.
+    fn case(property: u64, case: u64) -> Lcg {
+        Lcg(((property << 32) | case) ^ 0x9e3779b97f4a7c15)
     }
 
-    /// The same expression stored through a variable round-trips.
-    #[test]
-    fn variables_round_trip(expr in arith()) {
+    /// An integer in `lo..hi`.
+    fn range(&mut self, lo: i64, hi: i64) -> i64 {
+        lo + self.pick((hi - lo) as u64) as i64
+    }
+
+    /// `lo..=hi` characters from `alphabet`.
+    fn word(&mut self, alphabet: &[u8], lo: usize, hi: usize) -> String {
+        let len = lo + self.pick((hi - lo + 1) as u64) as usize;
+        (0..len)
+            .map(|_| alphabet[self.pick(alphabet.len() as u64) as usize] as char)
+            .collect()
+    }
+
+    /// A `+`/`-`/`*` tree over leaves in `-50..50` (small integers keep
+    /// the f64 arithmetic exact), up to `depth` operators deep; each level
+    /// stops at a leaf with probability 1/3.
+    fn arith(&mut self, depth: usize) -> ArithExpr {
+        if depth == 0 || self.pick(3) == 0 {
+            let n = self.range(-50, 50);
+            return ArithExpr {
+                source: if n < 0 {
+                    format!("(0 - {})", -n)
+                } else {
+                    n.to_string()
+                },
+                expected: n as f64,
+                depth: 0,
+            };
+        }
+        let (a, b) = (self.arith(depth - 1), self.arith(depth - 1));
+        let (op, expected) = match self.pick(3) {
+            0 => ("+", a.expected + b.expected),
+            1 => ("-", a.expected - b.expected),
+            _ => ("*", a.expected * b.expected),
+        };
+        ArithExpr {
+            source: format!("({} {op} {})", a.source, b.source),
+            expected,
+            depth: 1 + a.depth.max(b.depth),
+        }
+    }
+
+    /// Up to 200 characters of source: in even cases printable ASCII and
+    /// newlines (`[ -~\n]{0,200}`), which almost never parses; in odd
+    /// cases a generated program with up to three characters replaced,
+    /// inserted or deleted, which often still parses and runs.
+    fn source(&mut self, case: u64) -> String {
+        const PRINTABLE: &[u8] =
+            b" !\"#$%&'()*+,-./0123456789:;<=>?@ABCDEFGHIJKLMNOPQRSTUVWXYZ[\\]^_`abcdefghijklmnopqrstuvwxyz{|}~\n";
+        if case & 1 == 0 {
+            return self.word(PRINTABLE, 0, 200);
+        }
+        let mut src: Vec<u8> = ProgramGen::new(self.next()).program().into_bytes();
+        src.truncate(200);
+        for _ in 0..self.pick(4) {
+            let at = self.pick(src.len() as u64 + 1) as usize;
+            let byte = PRINTABLE[self.pick(PRINTABLE.len() as u64) as usize];
+            match self.pick(3) {
+                0 if at < src.len() => src[at] = byte,
+                1 if at < src.len() => {
+                    src.remove(at);
+                }
+                _ => src.insert(at, byte),
+            }
+        }
+        String::from_utf8(src).expect("ASCII source")
+    }
+}
+
+/// The interpreter agrees with a structurally generated reference on
+/// integer arithmetic, also through a variable, and the bytecode VM
+/// agrees with it at the full budget and at starving ones.
+#[test]
+fn arithmetic_matches_reference() {
+    let mut deepest = 0;
+    for case in 0..CASES {
+        let expr = Lcg::case(1, case).arith(4);
+        let v = eval(&format!("{};", expr.source), &mut NullHost).unwrap();
+        assert_eq!(
+            v.as_num(),
+            Some(expr.expected),
+            "case {case}: {}",
+            expr.source
+        );
         let src = format!("let tmp = {}; tmp;", expr.source);
         let v = eval(&src, &mut NullHost).unwrap();
-        prop_assert_eq!(v.as_num(), Some(expr.expected));
+        assert_eq!(v.as_num(), Some(expr.expected), "case {case}: {src}");
+        differential(&format!("{};", expr.source), &[u64::MAX, 5, 1]);
+        deepest = deepest.max(expr.depth);
     }
+    assert_eq!(deepest, 4, "no case nests four operators deep");
+}
 
-    /// Comparison operators agree with Rust on integer pairs.
-    #[test]
-    fn comparisons_match(a in -100i64..100, b in -100i64..100) {
+/// Comparison operators agree with Rust on integer pairs.
+#[test]
+fn comparisons_match() {
+    let (mut less, mut equal, mut greater) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = Lcg::case(2, case);
+        let a = rng.range(-100, 100);
+        // A quarter of the pairs sit on or next to the diagonal, where
+        // the strict and non-strict operators differ.
+        let b = match rng.pick(4) {
+            0 => a + rng.range(-1, 2),
+            _ => rng.range(-100, 100),
+        };
         let check = |op: &str, expected: bool| {
             let v = eval(&format!("{a} {op} {b};"), &mut NullHost).unwrap();
-            assert_eq!(v.truthy(), expected, "{a} {op} {b}");
+            assert_eq!(v.truthy(), expected, "case {case}: {a} {op} {b}");
         };
         check("<", a < b);
         check("<=", a <= b);
@@ -88,74 +148,84 @@ proptest! {
         check(">=", a >= b);
         check("==", a == b);
         check("!=", a != b);
+        match a.cmp(&b) {
+            std::cmp::Ordering::Less => less += 1,
+            std::cmp::Ordering::Equal => equal += 1,
+            std::cmp::Ordering::Greater => greater += 1,
+        }
     }
+    assert!(
+        less > 0 && equal > 0 && greater > 0,
+        "{less} / {equal} / {greater}"
+    );
+}
 
-    /// The lexer+parser never panic on arbitrary printable input.
-    #[test]
-    fn parser_is_total(src in "[ -~\\n]{0,200}") {
-        let _ = crate::parser::parse(&src);
-    }
-
-    /// Loops that count to n actually count to n.
-    #[test]
-    fn counting_loops(n in 0u32..200) {
+/// Loops that count to n actually count to n, for every n in `0..200`.
+#[test]
+fn counting_loops() {
+    for n in 0..200u32 {
         let src = format!(
             "let total = 0; for (let i = 0; i < {n}; i = i + 1) {{ total = total + 1; }} total;"
         );
         let v = eval(&src, &mut NullHost).unwrap();
-        prop_assert_eq!(v.as_num(), Some(n as f64));
+        assert_eq!(v.as_num(), Some(n as f64), "{src}");
     }
+}
 
-    /// String concatenation through the interpreter matches Rust.
-    #[test]
-    fn string_concat_matches(a in "[a-z]{0,10}", b in "[0-9]{0,10}") {
+/// String concatenation through the interpreter matches Rust.
+#[test]
+fn string_concat_matches() {
+    let mut empty = (0, 0);
+    for case in 0..CASES {
+        let mut rng = Lcg::case(3, case);
+        let a = rng.word(b"abcdefghijklmnopqrstuvwxyz", 0, 10);
+        let b = rng.word(b"0123456789", 0, 10);
         let src = format!("\"{a}\" + \"{b}\";");
-        let v = eval(&src, &mut NullHost).unwrap();
-        match v {
-            Value::Str(s) => prop_assert_eq!(s, format!("{a}{b}")),
-            other => prop_assert!(false, "expected string, got {other:?}"),
+        match eval(&src, &mut NullHost).unwrap() {
+            Value::Str(s) => assert_eq!(s, format!("{a}{b}"), "case {case}"),
+            other => panic!("case {case}: expected string, got {other:?}"),
         }
+        empty.0 += usize::from(a.is_empty());
+        empty.1 += usize::from(b.is_empty());
     }
+    assert!(empty.0 > 0 && empty.1 > 0, "empty operands: {empty:?}");
+}
 
-    /// The compile cache is transparent: for arbitrary printable source,
-    /// `get_or_parse` (cold and warm) agrees exactly with a direct parse —
-    /// same Program, same error.
-    #[test]
-    fn cache_agrees_with_direct_parse(src in "[ -~\\n]{0,200}") {
-        let cache = ScriptCache::new();
+/// The compile cache is transparent: for generated source, one cache's
+/// `get_or_parse` (cold and warm) agrees exactly with a direct parse —
+/// same Program, same error — and the lexer and parser never panic.
+#[test]
+fn cache_agrees_with_direct_parse() {
+    let cache = ScriptCache::new();
+    let mut bodies = std::collections::BTreeSet::new();
+    let mut parsed = 0;
+    for case in 0..CASES {
+        let src = Lcg::case(4, case).source(case);
         let direct = crate::parser::parse(&src);
         let cold = cache.get_or_parse(&src).map(|p| (*p).clone());
         let warm = cache.get_or_parse(&src).map(|p| (*p).clone());
-        prop_assert_eq!(&cold, &direct);
-        prop_assert_eq!(&warm, &direct);
+        assert_eq!(cold, direct, "case {case}: {src:?}");
+        assert_eq!(warm, direct, "case {case}: {src:?}");
+        parsed += usize::from(direct.is_ok());
+        bodies.insert(src);
     }
+    let stats = cache.stats();
+    assert_eq!(stats.parses, bodies.len() as u64);
+    assert_eq!(stats.lookups(), 2 * CASES);
+    assert_eq!(cache.len(), bodies.len());
+    assert!(
+        parsed > 16 && parsed < CASES as usize - 16,
+        "{parsed} of {CASES} cases parse"
+    );
+}
 
-    /// Trace hit/parse counters partition lookups: over an arbitrary
-    /// lookup sequence, `script.cache.hit + script.cache.parse` equals the
-    /// number of traced lookups, and parses equal distinct bodies.
-    #[test]
-    fn traced_counters_partition_lookups(picks in proptest::collection::vec(0usize..6, 1..64)) {
-        use canvassing_trace::{MetricsRegistry, VisitRecorder};
-        let cache = ScriptCache::new();
-        let reg = std::sync::Arc::new(MetricsRegistry::new());
-        let rec = VisitRecorder::new("prop", Some(std::sync::Arc::clone(&reg)));
-        let bodies: Vec<String> = (0..6).map(|i| format!("{i} + {i};")).collect();
-        let mut distinct = std::collections::BTreeSet::new();
-        for &p in &picks {
-            cache.get_or_parse_traced(&bodies[p], &rec).unwrap();
-            distinct.insert(p);
-        }
-        let snap = reg.snapshot();
-        let hits = snap.counters.get("script.cache.hit").copied().unwrap_or(0);
-        let parses = snap.counters.get("script.cache.parse").copied().unwrap_or(0);
-        prop_assert_eq!(hits + parses, picks.len() as u64);
-        prop_assert_eq!(parses, distinct.len() as u64);
-        prop_assert_eq!(cache.stats().lookups(), picks.len() as u64);
-    }
-
-    /// Array push/index round-trips arbitrary integer sequences.
-    #[test]
-    fn array_roundtrip(items in proptest::collection::vec(-1000i64..1000, 0..12)) {
+/// Array push/index round-trips arbitrary integer sequences.
+#[test]
+fn array_roundtrip() {
+    let mut empty = 0;
+    for case in 0..CASES {
+        let mut rng = Lcg::case(5, case);
+        let items: Vec<i64> = (0..rng.pick(12)).map(|_| rng.range(-1000, 1000)).collect();
         let mut src = String::from("let a = [];");
         for item in &items {
             src.push_str(&format!(" a.push({item});"));
@@ -167,36 +237,35 @@ proptest! {
             .map(|i| i.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        prop_assert_eq!(v.to_display_string(), expected);
+        assert_eq!(v.to_display_string(), expected, "case {case}");
+        empty += usize::from(items.is_empty());
     }
+    assert!(empty > 0, "no case builds an empty array");
+}
 
-    /// Differential property: the bytecode VM agrees with the tree-walker
-    /// on structurally generated arithmetic (full budget and a starving
-    /// one).
-    #[test]
-    fn vm_matches_tree_walker_on_arith(expr in arith()) {
-        let src = format!("{};", expr.source);
-        differential(&src, &[u64::MAX, 5, 1]);
+/// Differential property over generated source: the engines agree even
+/// on junk (parse failures short-circuit identically) and on programs
+/// a few characters away from valid ones.
+#[test]
+fn vm_matches_tree_walker_on_arbitrary_source() {
+    let mut ran = 0;
+    for case in 0..CASES {
+        let src = Lcg::case(6, case).source(case);
+        if differential(&src, &[1000]) > 0 {
+            ran += 1;
+        }
     }
-
-    /// Differential property over arbitrary printable source: engines
-    /// agree even on junk (parse failures short-circuit identically).
-    #[test]
-    fn vm_matches_tree_walker_on_arbitrary_source(src in "[ -~\\n]{0,200}") {
-        differential(&src, &[1000]);
-    }
+    assert!(ran > 16, "only {ran} of {CASES} cases executed a step");
 }
 
 // ---------------------------------------------------------------------------
 // Differential engine suite (tree-walker oracle vs bytecode VM).
 //
-// The proptest stub compiles but does not sample, so the real coverage
-// lives in the seeded-LCG tests below: randomly generated programs are
-// run through both engines with the same deterministic recording host
-// and the same budget, and must produce identical results, identical
-// host-effect sequences, and identical step/fuel-exhaustion outcomes at
-// every budget — including budgets that starve the script mid-loop and
-// mid-call.
+// Randomly generated programs are run through both engines with the
+// same deterministic recording host and the same budget, and must
+// produce identical results, identical host-effect sequences, and
+// identical step/fuel-exhaustion outcomes at every budget — including
+// budgets that starve the script mid-loop and mid-call.
 // ---------------------------------------------------------------------------
 
 /// A deterministic host that logs every interaction. Two identically
