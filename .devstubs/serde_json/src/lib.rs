@@ -38,6 +38,7 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
 
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -50,19 +51,33 @@ pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T> {
     T::from_json_value(&v).map_err(Error::new)
 }
 
+/// Writes `s` as a JSON string: each run of bytes that needs no escape is
+/// copied whole. Every byte that does is ASCII, so runs end on char
+/// boundaries.
 fn write_escaped(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 15)] as char);
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -144,6 +159,7 @@ fn write_pretty(v: &JsonValue, out: &mut String, indent: usize) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -198,56 +214,53 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Parses a string, copying each run up to the next `"` or `\`
+    /// straight from the input. Both are ASCII, so every run ends on a
+    /// char boundary.
     fn string(&mut self) -> Result<String> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            let b = self
-                .peek()
+            let start = self.pos;
+            let end = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map(|n| start + n)
                 .ok_or_else(|| Error::new("unterminated string"))?;
+            let run = self
+                .text
+                .get(start..end)
+                .ok_or_else(|| Error::new("invalid utf-8"))?;
+            s.push_str(run);
+            self.pos = end + 1;
+            if self.bytes[end] == b'"' {
+                return Ok(s);
+            }
+            let esc = self
+                .peek()
+                .ok_or_else(|| Error::new("unterminated escape"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{8}'),
-                        b'f' => s.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(Error::new("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| Error::new("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| Error::new("bad \\u escape"))?;
-                            self.pos += 4;
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::new(format!("bad escape \\{}", other as char)))
-                        }
+            match esc {
+                b'"' => s.push('"'),
+                b'\\' => s.push('\\'),
+                b'/' => s.push('/'),
+                b'n' => s.push('\n'),
+                b'r' => s.push('\r'),
+                b't' => s.push('\t'),
+                b'b' => s.push('\u{8}'),
+                b'f' => s.push('\u{c}'),
+                b'u' => {
+                    if self.pos + 4 > self.bytes.len() {
+                        return Err(Error::new("truncated \\u escape"));
                     }
+                    let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
+                        .map_err(|_| Error::new("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| Error::new("bad \\u escape"))?;
+                    self.pos += 4;
+                    s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                b if b < 0x80 => s.push(b as char),
-                _ => {
-                    // multi-byte UTF-8: find the full char from the source
-                    let start = self.pos - 1;
-                    let rest = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| Error::new("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos = start + c.len_utf8();
-                }
+                other => return Err(Error::new(format!("bad escape \\{}", other as char))),
             }
         }
     }

@@ -19,10 +19,12 @@
 //! 91c4e07d {"url":...,"outcome":...}
 //! ```
 //!
-//! Every record line is `<crc32 of the JSON, 8 hex chars> <record JSON>`.
-//! The CRC is the PNG encoder's ([`canvassing_raster::png::crc32`]: IEEE
-//! 802.3, the polynomial zlib and PNG use, so checkpoint files are
-//! checkable with stock tooling) and makes torn or bit-flipped tails
+//! Every record line is `<crc32 of the JSON, 8 hex chars> <record JSON>`,
+//! built in one buffer sized for it. The CRC is the PNG encoder's
+//! ([`canvassing_raster::png::crc32`]: IEEE 802.3, the polynomial zlib
+//! and PNG use, so checkpoint files are checkable with stock tooling;
+//! table-driven slicing-by-8, because the spill and the merge each run
+//! it over every ~48 KB record line) and makes torn or bit-flipped tails
 //! detectable: [`recover`] walks the file, keeps the longest valid
 //! prefix, truncates the file back to it, and returns the prefix as a
 //! [`CrawlDataset`]. Because records are written
@@ -37,6 +39,7 @@
 //! place a crash at any record boundary deterministically.
 
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -142,8 +145,7 @@ impl CheckpointWriter {
         if self.poisoned {
             return Err(io::Error::other("checkpoint writer poisoned by torn write"));
         }
-        let json = serde_json::to_string(record).map_err(io::Error::other)?;
-        let line = format!("{:08x} {json}\n", crc32(json.as_bytes()));
+        let line = frame(record)?;
         if self.torn_hosts.remove(&record.url.host) {
             self.tear_line(&line)?;
             return Err(io::Error::other(format!(
@@ -165,8 +167,7 @@ impl CheckpointWriter {
     /// it to kill a shard worker at an exact record. The on-disk state is
     /// precisely what [`recover`] truncates away.
     pub fn tear(&mut self, record: &SiteRecord) -> io::Result<()> {
-        let json = serde_json::to_string(record).map_err(io::Error::other)?;
-        let line = format!("{:08x} {json}\n", crc32(json.as_bytes()));
+        let line = frame(record)?;
         self.tear_line(&line)
     }
 
@@ -179,6 +180,17 @@ impl CheckpointWriter {
         self.poisoned = true;
         Ok(())
     }
+}
+
+/// Frames one record as a checkpoint line, `<crc32 of the JSON, 8 hex
+/// chars> <record JSON>\n`, in a buffer sized for it up front.
+fn frame(record: &SiteRecord) -> io::Result<String> {
+    let json = serde_json::to_string(record).map_err(io::Error::other)?;
+    let mut line = String::with_capacity(9 + json.len() + 1);
+    write!(line, "{:08x} ", crc32(json.as_bytes())).map_err(io::Error::other)?;
+    line.push_str(&json);
+    line.push('\n');
+    Ok(line)
 }
 
 /// Reads a checkpoint, keeps the longest valid prefix, truncates the file

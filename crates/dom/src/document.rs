@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use canvassing_raster::canvas::ImageFormat;
+use canvassing_raster::canvas::{data_url, ImageFormat};
 use canvassing_raster::{Canvas2D, DeviceProfile, Surface, SurfacePool};
 use canvassing_script::{Host, HostRef, RuntimeError, Value};
 
@@ -280,18 +280,7 @@ impl Document {
             ReadbackDefense::Filter(filter) => {
                 let mut surface = canvas.surface().clone();
                 filter.filter(index, &mut surface, self.extraction_count);
-                let format = ImageFormat::from_mime(mime);
-                let q = quality.unwrap_or(0.92).clamp(0.0, 1.0);
-                let bytes = match format {
-                    ImageFormat::Png => canvassing_raster::png::encode(&surface),
-                    ImageFormat::Jpeg => canvassing_raster::lossy::encode_jpeg(&surface, q),
-                    ImageFormat::Webp => canvassing_raster::lossy::encode_webp(&surface, q),
-                };
-                format!(
-                    "data:{};base64,{}",
-                    format.mime(),
-                    canvassing_raster::base64::encode(&bytes)
-                )
+                data_url(&surface, mime, quality)
             }
         };
         let canvas = &self.canvases[index];

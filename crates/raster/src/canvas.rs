@@ -62,6 +62,21 @@ impl ImageFormat {
     }
 }
 
+/// `toDataURL(mime, quality)` over any surface: resolves `mime` with
+/// [`ImageFormat::from_mime`], defaults `quality` to 0.92 and clamps it to
+/// `[0, 1]`, encodes, and returns `data:<mime>;base64,<payload>`, built in
+/// one buffer.
+pub fn data_url(surface: &Surface, mime: &str, quality: Option<f64>) -> String {
+    let format = ImageFormat::from_mime(mime);
+    let quality = quality.unwrap_or(0.92).clamp(0.0, 1.0);
+    let bytes = match format {
+        ImageFormat::Png => png::encode(surface),
+        ImageFormat::Jpeg => encode_jpeg(surface, quality),
+        ImageFormat::Webp => encode_webp(surface, quality),
+    };
+    crate::base64::encode_after(&format!("data:{};base64,", format.mime()), &bytes)
+}
+
 /// Mutable drawing state saved/restored by `save()`/`restore()`.
 #[derive(Debug, Clone)]
 struct DrawState {
@@ -586,25 +601,9 @@ impl Canvas2D {
         }
     }
 
-    /// Encodes the surface in the given format (the `toDataURL` backend).
-    pub fn encode(&self, format: ImageFormat, quality: f64) -> Vec<u8> {
-        match format {
-            ImageFormat::Png => png::encode(&self.surface),
-            ImageFormat::Jpeg => encode_jpeg(&self.surface, quality),
-            ImageFormat::Webp => encode_webp(&self.surface, quality),
-        }
-    }
-
     /// `toDataURL(mime, quality)` — returns the full data-URL string.
     pub fn to_data_url(&self, mime: &str, quality: Option<f64>) -> String {
-        let format = ImageFormat::from_mime(mime);
-        let q = quality.unwrap_or(0.92).clamp(0.0, 1.0);
-        let bytes = self.encode(format, q);
-        format!(
-            "data:{};base64,{}",
-            format.mime(),
-            crate::base64::encode(&bytes)
-        )
+        data_url(&self.surface, mime, quality)
     }
 
     /// Composites a coverage mask with a paint, honoring `globalAlpha`,

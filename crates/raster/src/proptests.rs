@@ -160,7 +160,7 @@ fn random_programs_encode_valid_png() {
     for case in 0..PROGRAM_CASES {
         let ops = Lcg::case(2, case).ops(16);
         let c = run_ops(&ops, DeviceProfile::apple_m1());
-        let bytes = c.encode(crate::canvas::ImageFormat::Png, 0.92);
+        let bytes = crate::png::encode(c.surface());
         let decoded = crate::png::decode(&bytes).expect("own PNG decodes");
         assert_eq!(
             (decoded.width(), decoded.height()),

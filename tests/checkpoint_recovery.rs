@@ -533,3 +533,159 @@ fn supervisor_tear_recovers_to_the_flushed_prefix() {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// Every byte class the JSON writer treats differently, in one record's
+/// `ApiCall::args`: the two-character escapes (`"`, `\`, `\n`, `\r`,
+/// `\t`), every other control byte (written as `\u00xx`), DEL (written
+/// raw), multi-byte characters up to a four-byte emoji, and `run`, a
+/// base64 run the size of a canvas data URL's payload.
+fn escape_record(run: &str) -> SiteRecord {
+    let page = canvassing_net::Url::https("escapes.example", "/");
+    let controls: String = (0u8..0x20)
+        .filter(|b| !matches!(b, b'\n' | b'\r' | b'\t'))
+        .chain([0x7f])
+        .map(char::from)
+        .collect();
+    let call = canvassing_dom::ApiCall {
+        seq: 3,
+        timestamp_ms: 17,
+        interface: canvassing_dom::ApiInterface::Context2D,
+        kind: canvassing_dom::CallKind::Method,
+        name: "fillText".into(),
+        args: vec![
+            "quote \" backslash \\ newline \n return \r tab \t end".into(),
+            controls,
+            "Cwm fjordbank gly \u{1F603} é ß 日本語 \u{10FFFF}".into(),
+            run.into(),
+            String::new(),
+        ],
+        return_value: Some("\u{1F603}\"\\".into()),
+        script_url: "https://escapes.example/fp.js".into(),
+        canvas_index: 0,
+    };
+    let visit = canvassing_browser::PageVisit {
+        page: page.clone(),
+        api_calls: vec![call],
+        extractions: Vec::new(),
+        scripts: Vec::new(),
+        blocked: Vec::new(),
+        consent_banner: false,
+    };
+    SiteRecord {
+        url: page,
+        outcome: canvassing_crawler::SiteOutcome::Success(Box::new(visit)),
+    }
+}
+
+/// 100 KB of seeded base64 alphabet characters.
+fn base64_run() -> String {
+    const ALPHABET: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+    let mut rng = Lcg(2025);
+    (0..100 * 1024)
+        .map(|_| char::from(ALPHABET[rng.below(64)]))
+        .collect()
+}
+
+fn api_calls(record: &SiteRecord) -> &[canvassing_dom::ApiCall] {
+    match &record.outcome {
+        canvassing_crawler::SiteOutcome::Success(visit) => &visit.api_calls,
+        canvassing_crawler::SiteOutcome::Failure(failure) => panic!("not a success: {failure:?}"),
+    }
+}
+
+/// [`escape_record`]'s JSON with the base64 run cut out as `<RUN>`.
+const ESCAPE_RECORD_JSON: &str = concat!(
+    "{\"url\":{\"scheme\":\"https\",\"host\":\"escapes.example\",\"port\":null,",
+    "\"path\":\"/\",\"query\":null},\"outcome\":{\"Success\":[{\"page\":{",
+    "\"scheme\":\"https\",\"host\":\"escapes.example\",\"port\":null,",
+    "\"path\":\"/\",\"query\":null},\"api_calls\":[{\"seq\":3,\"timestamp_ms\":17,",
+    "\"interface\":\"Context2D\",\"kind\":\"Method\",\"name\":\"fillText\",",
+    "\"args\":[\"quote \\\" backslash \\\\ newline \\n return \\r tab \\t end\",",
+    "\"\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007\\u0008\\u000b\\u000c\\u000e\\u000f",
+    "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\u{7f}\",",
+    "\"Cwm fjordbank gly \u{1f603} \u{e9} \u{df} \u{65e5}\u{672c}\u{8a9e} \u{10ffff}\",",
+    "\"<RUN>\",\"\"],\"return_value\":\"\u{1f603}\\\"\\\\\",\"script_url\":\"https://escapes.example/fp.js\",",
+    "\"canvas_index\":0}],\"extractions\":[],\"scripts\":[],\"blocked\":[",
+    "],\"consent_banner\":false}]}}",
+);
+
+/// The CRC-32 of [`escape_record`]'s JSON, as the checkpoint frame writes it.
+const ESCAPE_RECORD_CRC: &str = "258976c5";
+
+/// The JSON of a record full of escapes, multi-byte text and a long run
+/// is pinned byte for byte, and parses back to an equal record.
+#[test]
+fn escape_heavy_record_json_is_pinned_and_roundtrips() {
+    let run = base64_run();
+    let record = escape_record(&run);
+    let json = record_json(&record);
+    assert_eq!(json.replace(&run, "<RUN>"), ESCAPE_RECORD_JSON);
+    assert_eq!(json, ESCAPE_RECORD_JSON.replace("<RUN>", &run));
+    let back: SiteRecord = serde_json::from_str(&json).unwrap();
+    assert_eq!(api_calls(&back), api_calls(&record));
+    assert_eq!(back.url, record.url);
+    assert_eq!(record_json(&back), json);
+}
+
+/// The checkpoint frame of that record is pinned byte for byte, for both
+/// a complete append and a torn one: the output digests hash records,
+/// not spill files, so a CRC that changed on the writing and the
+/// reading side alike would pass every other gate.
+#[test]
+fn escape_heavy_record_frames_to_a_pinned_line() {
+    let run = base64_run();
+    let record = escape_record(&run);
+    let path = tmp_path("pinned-frame");
+    let mut writer =
+        checkpoint::CheckpointWriter::create(&path, "control", "intel-ubuntu").unwrap();
+    writer.append(&record).unwrap();
+    writer.tear(&record).unwrap();
+    drop(writer);
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+
+    let header = "{\"version\":2,\"label\":\"control\",\"device_id\":\"intel-ubuntu\"}\n";
+    let line = format!(
+        "{ESCAPE_RECORD_CRC} {}\n",
+        ESCAPE_RECORD_JSON.replace("<RUN>", &run)
+    );
+    let torn = &line.as_bytes()[..line.len() / 2];
+    let (head, tail) = bytes.split_at(header.len().min(bytes.len()));
+    assert_eq!(String::from_utf8_lossy(head), header);
+    assert_eq!(tail.len(), line.len() + torn.len());
+    let (appended, torn_tail) = tail.split_at(line.len());
+    assert!(
+        appended == line.as_bytes(),
+        "framed line starts {:?}",
+        String::from_utf8_lossy(&appended[..80])
+    );
+    assert!(torn_tail == torn, "torn line differs");
+}
+
+/// Segment count, total length and FNV-1a of a small supervised spill:
+/// each segment's file name and bytes, in merge order.
+const PINNED_SPILL: (usize, usize, u64) = (6, 479_265, 14_147_340_831_223_912_508);
+
+/// The bytes a supervised crawl spills are pinned: segment names,
+/// headers and every CRC-framed record line.
+#[test]
+fn supervised_spill_bytes_are_pinned() {
+    let (web, frontier) = workload();
+    let config = resilient_config(1);
+    let (dir, segments, pristine) = spilled_workload("pinned", &web, &frontier, &config);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut named = Vec::new();
+    for (path, bytes) in segments.iter().zip(&pristine) {
+        named.extend_from_slice(path.file_name().unwrap().as_encoded_bytes());
+        named.push(b'\n');
+        named.extend_from_slice(bytes);
+    }
+    assert_eq!(
+        (
+            segments.len(),
+            named.len(),
+            canvassing_raster::content_hash(&named)
+        ),
+        PINNED_SPILL
+    );
+}
