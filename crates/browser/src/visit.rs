@@ -262,6 +262,39 @@ impl Browser {
         (outcome.steps, outcome.result.err().map(|e| e.message))
     }
 
+    /// Triages one script body (once per unique body crawl-wide, via the
+    /// analysis cache), runs it in an `execute` span and records `script`
+    /// with the body's hash, verdict and error. Returns the steps run, or
+    /// `None` when the run tripped a `budget` below the interpreter's own:
+    /// the visit is out of fuel.
+    fn run_script(
+        &self,
+        doc: &mut Document,
+        visit: &mut PageVisit,
+        source: &str,
+        mut script: LoadedScript,
+        budget: u64,
+        rec: &VisitRecorder,
+    ) -> Option<u64> {
+        let (source_hash, analysis) =
+            self.caches
+                .analysis
+                .analyze_traced(source, self.caches.scripts.as_deref(), rec);
+        let exec_span = rec.span("execute");
+        let (steps, error) = self.execute_script(doc, source, &script.url.to_string(), budget, rec);
+        exec_span.end(steps / STEPS_PER_MS);
+        if let Some(msg) = &error {
+            if budget < DEFAULT_STEP_BUDGET && msg.contains("step budget") {
+                return None;
+            }
+        }
+        script.source_hash = source_hash;
+        script.verdict = Some(analysis.verdict);
+        script.error = error;
+        visit.scripts.push(script);
+        Some(steps)
+    }
+
     /// Visits a page and records all canvas activity. Equivalent to
     /// [`Browser::visit_attempt`] with `attempt = 0`.
     pub fn visit(&self, network: &Network, page_url: &Url) -> Result<PageVisit, VisitError> {
@@ -442,41 +475,22 @@ impl Browser {
                 Some(f) => f.saturating_sub(fuel_used).min(DEFAULT_STEP_BUDGET),
                 None => DEFAULT_STEP_BUDGET,
             };
-            match script_ref {
-                ScriptRef::Inline { source, .. } => {
-                    // Static triage runs before execution, once per
-                    // unique body crawl-wide (the analysis cache).
-                    let (source_hash, analysis) = self.caches.analysis.analyze_traced(
-                        source,
-                        self.caches.scripts.as_deref(),
-                        rec,
-                    );
-                    let exec_span = rec.span("execute");
-                    let (steps, error) =
-                        self.execute_script(&mut doc, source, &page_url.to_string(), budget, rec);
-                    exec_span.end(steps / STEPS_PER_MS);
-                    executed_any = true;
-                    fuel_used += steps;
-                    elapsed_ms += steps / STEPS_PER_MS;
-                    if let Some(msg) = &error {
-                        if budget < DEFAULT_STEP_BUDGET && msg.contains("step budget") {
-                            return Err(salvaged(
-                                visit,
-                                doc,
-                                VisitError::FuelExhausted(page_url.clone()),
-                            ));
-                        }
-                    }
-                    visit.scripts.push(LoadedScript {
+            // Resolve the reference to a body and the entry recording it;
+            // a reference that yields no body is recorded or skipped here.
+            let fetched: String;
+            let body = match script_ref {
+                ScriptRef::Inline { source, .. } => Some((
+                    source.as_str(),
+                    LoadedScript {
                         url: page_url.clone(),
                         inline: true,
                         canonical_host: page_url.host.clone(),
                         cname_cloaked: false,
-                        source_hash,
-                        verdict: Some(analysis.verdict),
-                        error,
-                    });
-                }
+                        source_hash: 0,
+                        verdict: None,
+                        error: None,
+                    },
+                )),
                 ScriptRef::External(url) => {
                     if let Some(ext) = &self.extension {
                         if let Some(decision) = ext.check_script(page_url, url, &network.dns) {
@@ -507,7 +521,7 @@ impl Browser {
                     }
                     match network.fetch_traced(url, attempt, rec) {
                         Ok(resp) => {
-                            let source = match resp.resource {
+                            fetched = match resp.resource {
                                 Resource::Script(s) => s.source,
                                 Resource::Page(_) => continue,
                             };
@@ -520,41 +534,18 @@ impl Browser {
                                     VisitError::DeadlineExceeded(page_url.clone()),
                                 ));
                             }
-                            let (source_hash, analysis) = self.caches.analysis.analyze_traced(
-                                &source,
-                                self.caches.scripts.as_deref(),
-                                rec,
-                            );
-                            let exec_span = rec.span("execute");
-                            let (steps, error) = self.execute_script(
-                                &mut doc,
-                                &source,
-                                &url.to_string(),
-                                budget,
-                                rec,
-                            );
-                            exec_span.end(steps / STEPS_PER_MS);
-                            executed_any = true;
-                            fuel_used += steps;
-                            elapsed_ms += steps / STEPS_PER_MS;
-                            if let Some(msg) = &error {
-                                if budget < DEFAULT_STEP_BUDGET && msg.contains("step budget") {
-                                    return Err(salvaged(
-                                        visit,
-                                        doc,
-                                        VisitError::FuelExhausted(page_url.clone()),
-                                    ));
-                                }
-                            }
-                            visit.scripts.push(LoadedScript {
-                                url: url.clone(),
-                                inline: false,
-                                canonical_host: resp.resolution.canonical.clone(),
-                                cname_cloaked: resp.resolution.is_cloaked(),
-                                source_hash,
-                                verdict: Some(analysis.verdict),
-                                error,
-                            });
+                            Some((
+                                fetched.as_str(),
+                                LoadedScript {
+                                    url: url.clone(),
+                                    inline: false,
+                                    canonical_host: resp.resolution.canonical.clone(),
+                                    cname_cloaked: resp.resolution.is_cloaked(),
+                                    source_hash: 0,
+                                    verdict: None,
+                                    error: None,
+                                },
+                            ))
                         }
                         Err(_) => {
                             // Broken script reference: pages survive it.
@@ -570,9 +561,24 @@ impl Browser {
                                 verdict: None,
                                 error: Some("fetch failed".into()),
                             });
+                            None
                         }
                     }
                 }
+            };
+            if let Some((source, script)) = body {
+                let Some(steps) =
+                    self.run_script(&mut doc, &mut visit, source, script, budget, rec)
+                else {
+                    return Err(salvaged(
+                        visit,
+                        doc,
+                        VisitError::FuelExhausted(page_url.clone()),
+                    ));
+                };
+                executed_any = true;
+                fuel_used += steps;
+                elapsed_ms += steps / STEPS_PER_MS;
             }
             if deadline.is_some_and(|d| elapsed_ms > d) {
                 return Err(salvaged(

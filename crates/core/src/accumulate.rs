@@ -14,8 +14,8 @@
 //! * the static-vs-dynamic vote map keyed by unique script body;
 //! * fidelity-tier bias accounting;
 //! * only the **fingerprinting-site** detections are retained (for
-//!   attribution and Table 2), keyed by site — roughly a tenth of the
-//!   stream, carrying canvases rather than full visits.
+//!   attribution), keyed by site — roughly a tenth of the stream,
+//!   carrying canvases rather than full visits.
 //!
 //! `absorb` is commutative up to the record stream being a set of
 //! distinct sites: any fold order reaches the same state (gated by the
@@ -54,10 +54,10 @@ pub struct CohortAccumulator {
     coverage: CoverageCounts,
     votes: ScriptVotes,
     bias: BiasAccounting,
-    /// Fingerprinting-site detections, keyed by site. Downstream
-    /// consumers of `CohortAnalysis::detections` (attribution, Table 2
-    /// counts) are insensitive to both this projection (non-fingerprinting
-    /// detections carry no canvases) and the site ordering.
+    /// Fingerprinting-site detections, keyed by site. Attribution, the
+    /// study's consumer of `CohortAnalysis::detections`, is insensitive to
+    /// both this projection (non-fingerprinting detections carry no
+    /// canvases) and the site ordering.
     retained: BTreeMap<String, SiteDetection>,
 }
 

@@ -26,12 +26,13 @@
 //!   cohort's visit records into its analysis, one record at a time, so
 //!   million-site crawls never materialize a dataset;
 //! * [`study`] — the orchestrator that runs every crawl and produces all
-//!   tables and figures ([`study::run_study_streamed`], which streams the
-//!   control crawls through the accumulator in bounded chunks and touches
-//!   no disk, or [`study::run_study_supervised`] for the crash-tolerant
-//!   path that runs both control crawls under the leased shard
-//!   supervisor, the only code that spills records, with injected process
-//!   faults and proves the results unchanged).
+//!   tables and figures ([`study::run_study_streamed`], which streams
+//!   every crawl in bounded chunks, the control crawls through the
+//!   accumulator and each re-crawl into a fold of its clusters and
+//!   counts, and touches no disk, or [`study::run_study_supervised`] for
+//!   the crash-tolerant path that runs both control crawls under the
+//!   leased shard supervisor, the only code that spills records, with
+//!   injected process faults and proves the results unchanged).
 //!
 //! ```no_run
 //! use canvassing::study::{run_study_streamed, StreamingOptions, StudyOptions};

@@ -7,14 +7,19 @@
 //! [`CohortAccumulator`] as it streams and touches no disk;
 //! [`run_study_supervised`] runs them under the shard supervisor, which
 //! spills segment files and merges them back, and folds the merged
-//! datasets through the same accumulator.
+//! datasets through the same accumulator. Downstream, each optional
+//! re-crawl streams into one small fold on both paths, so the supervised
+//! merge is the only place a study holds a crawl dataset.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use canvassing_blocklist::{DisconnectList, FilterList};
 use canvassing_browser::AdBlockerKind;
 use canvassing_crawler::{
-    crawl, crawl_streamed, supervise_crawl, CrawlConfig, CrawlStats, FailureKind, FaultScript,
-    SupervisionReport, SupervisorConfig,
+    crawl_streamed, supervise_crawl, CrawlConfig, CrawlStats, FailureKind, FaultScript,
+    SiteOutcome, SupervisionReport, SupervisorConfig,
 };
+use canvassing_net::Url;
 use canvassing_raster::DeviceProfile;
 use canvassing_webgen::{Cohort, SyntheticWeb};
 use serde::{Deserialize, Serialize};
@@ -23,7 +28,7 @@ use crate::accumulate::CohortAccumulator;
 use crate::attribution::{attribute, gather_ground_truth, AttributionResult, AttributionSources};
 use crate::bias::BiasAccounting;
 use crate::blocklist_coverage::CoverageCounts;
-use crate::cluster::{Clustering, OverlapStats};
+use crate::cluster::{ClusterAccumulator, Clustering, OverlapStats};
 use crate::detect::{detect, SiteDetection};
 use crate::evasion::EvasionStats;
 use crate::figures::Figure1;
@@ -87,7 +92,7 @@ pub struct CohortAnalysis {
     /// Table 4 coverage.
     pub coverage: CoverageCounts,
     /// §3.1 crawl-failure breakdown by typed kind.
-    pub failures: std::collections::BTreeMap<FailureKind, usize>,
+    pub failures: BTreeMap<FailureKind, usize>,
     /// Failure-bias accounting: fidelity-tier counts and the strict /
     /// salvage-inclusive / worst-case-interval prevalence estimators.
     pub bias: BiasAccounting,
@@ -125,6 +130,22 @@ pub struct ValidationResult {
     pub partitions_match: bool,
     /// Unique canvases seen on each device.
     pub unique_canvases: (usize, usize),
+}
+
+impl ValidationResult {
+    /// Compares the control clustering with one from a re-crawl on
+    /// another device: the canvas bytes should differ while the site
+    /// groupings they induce agree.
+    fn compare(intel: &Clustering, m1: &Clustering) -> ValidationResult {
+        fn data_urls(c: &Clustering) -> BTreeSet<&str> {
+            c.clusters.iter().map(|k| k.data_url.as_str()).collect()
+        }
+        ValidationResult {
+            canvases_differ: data_urls(intel) != data_urls(m1),
+            partitions_match: intel.site_partition() == m1.site_partition(),
+            unique_canvases: (intel.unique_canvases(), m1.unique_canvases()),
+        }
+    }
 }
 
 /// E13 (extension): how the measurement itself degrades when the crawl
@@ -166,36 +187,6 @@ pub struct StudyResults {
     pub defense_sweep: Vec<DefenseSweepRow>,
 }
 
-/// A script that rendered two same-sized canvases with different bytes —
-/// the signature a §5.3 stability check sees under per-render
-/// randomization.
-fn count_unstable_sites(detections: &[SiteDetection]) -> usize {
-    detections
-        .iter()
-        .filter(|d| {
-            let mut groups: std::collections::BTreeMap<(String, u32, u32), Vec<&str>> =
-                Default::default();
-            for c in &d.canvases {
-                groups
-                    .entry((c.script_url.to_string(), c.width, c.height))
-                    .or_default()
-                    .push(c.data_url.as_str());
-            }
-            groups
-                .values()
-                .any(|urls| urls.len() >= 2 && urls.iter().any(|u| *u != urls[0]))
-        })
-        .count()
-}
-
-fn fingerprintable_canvases(detections: &[SiteDetection]) -> usize {
-    detections.iter().map(|d| d.canvases.len()).sum()
-}
-
-fn fingerprinting_sites(detections: &[SiteDetection]) -> usize {
-    detections.iter().filter(|d| d.is_fingerprinting()).count()
-}
-
 /// How [`run_study_streamed`] bounds memory. Spilling records to disk is
 /// the shard supervisor's job ([`run_study_supervised`]).
 #[derive(Debug, Clone)]
@@ -210,42 +201,13 @@ impl Default for StreamingOptions {
     }
 }
 
-/// Streams one cohort's control crawl through a [`CohortAccumulator`] and
-/// finishes into a cohort analysis. Memory is bounded by `chunk_sites`
-/// plus the accumulator's fingerprinting-site state — never the cohort
-/// size.
-#[allow(clippy::too_many_arguments)]
-fn stream_cohort(
-    web: &SyntheticWeb,
-    cohort: Cohort,
-    frontier: &[canvassing_net::Url],
-    config: &CrawlConfig,
-    easylist: &FilterList,
-    easyprivacy: &FilterList,
-    disconnect: &DisconnectList,
-    streaming: &StreamingOptions,
-) -> CohortAnalysis {
-    let mut acc = CohortAccumulator::new();
-    let perf = crawl_streamed(
-        &web.network,
-        frontier,
-        config,
-        &config.build_caches(),
-        streaming.chunk_sites,
-        |_, record| acc.absorb(&record, easylist, easyprivacy, disconnect),
-    );
-    let mut analysis = finish_cohort(&acc, cohort, web, frontier);
-    analysis.perf = perf;
-    analysis
-}
-
 /// The tail of every control-cohort analysis, streamed or supervised:
 /// finishes the fold and adds the bytecode triage of the cohort's scripts.
 fn finish_cohort(
     acc: &CohortAccumulator,
     cohort: Cohort,
     web: &SyntheticWeb,
-    frontier: &[canvassing_net::Url],
+    frontier: &[Url],
 ) -> CohortAnalysis {
     let mut analysis = acc.finish(cohort);
     analysis.bytecode = bytecode_triage(&web.network, frontier);
@@ -260,11 +222,12 @@ fn cohort_dir(cohort: Cohort) -> &'static str {
     }
 }
 
-/// Runs the full study against a synthetic web. The two control crawls
-/// stream through [`CohortAccumulator`]s in bounded chunks, so no
-/// cohort's visits are ever held in memory at once; the optional
-/// re-crawls (Table 2, M1 validation, E13) run [`crawl`] and keep only
-/// their detections.
+/// Runs the full study against a synthetic web. Every crawl streams, so
+/// no crawl's visits are ever held in memory at once: the two control
+/// crawls fold through [`CohortAccumulator`]s in chunks of
+/// `streaming.chunk_sites`, and the optional re-crawls (Table 2, M1
+/// validation, E13) fold their canvas clusters and per-site counts in
+/// default-sized chunks.
 ///
 /// The accumulator folds are exact: `CohortAnalysis::detections` keeps
 /// fingerprinting sites only, and everything the report and downstream
@@ -290,17 +253,21 @@ pub fn run_study_streamed(
         control.trace = Some(std::sync::Arc::new(canvassing_trace::CountingSink::new()));
     }
 
-    let analyze = |cohort: Cohort, frontier: &[canvassing_net::Url]| {
-        stream_cohort(
-            web,
-            cohort,
+    // Memory is bounded by `chunk_sites` plus the accumulator's
+    // fingerprinting-site state, never the cohort size.
+    let analyze = |cohort: Cohort, frontier: &[Url]| {
+        let mut acc = CohortAccumulator::new();
+        let perf = crawl_streamed(
+            &web.network,
             frontier,
             &control,
-            &easylist,
-            &easyprivacy,
-            &disconnect,
-            streaming,
-        )
+            &control.build_caches(),
+            streaming.chunk_sites,
+            |_, record| acc.absorb(&record, &easylist, &easyprivacy, &disconnect),
+        );
+        let mut analysis = finish_cohort(&acc, cohort, web, frontier);
+        analysis.perf = perf;
+        analysis
     };
     let popular = analyze(Cohort::Popular, &popular_frontier);
     let tail = analyze(Cohort::Tail, &tail_frontier);
@@ -355,7 +322,7 @@ pub fn run_study_supervised(
     let mut control = CrawlConfig::control();
     control.workers = options.workers;
 
-    let analyze = |cohort: Cohort, frontier: &[canvassing_net::Url]| -> std::io::Result<_> {
+    let analyze = |cohort: Cohort, frontier: &[Url]| -> std::io::Result<_> {
         let (dataset, report) = supervise_crawl(
             &web.network,
             frontier,
@@ -390,15 +357,60 @@ pub fn run_study_supervised(
     ))
 }
 
+/// Whether a site would fail a §5.3 stability check: one script rendered
+/// two same-sized canvases with different bytes, the signature of
+/// per-render randomization.
+fn is_unstable(d: &SiteDetection) -> bool {
+    let mut first: BTreeMap<(String, u32, u32), &str> = BTreeMap::new();
+    d.canvases.iter().any(|c| {
+        let key = (c.script_url.to_string(), c.width, c.height);
+        *first.entry(key).or_insert(&c.data_url) != c.data_url
+    })
+}
+
+/// What the study reads off a re-crawl (Table 2, the M1 validation,
+/// E13): its canvas clusters and three counts over its successful visits.
+#[derive(Default)]
+struct RecrawlFold {
+    clusters: ClusterAccumulator,
+    fingerprintable_canvases: usize,
+    fingerprinting_sites: usize,
+    unstable_sites: usize,
+}
+
+/// Streams one re-crawl in default-sized chunks with fresh caches and
+/// folds each successful visit's detection, so no re-crawl holds its
+/// dataset.
+fn recrawl(web: &SyntheticWeb, frontier: &[Url], config: &CrawlConfig) -> RecrawlFold {
+    let mut fold = RecrawlFold::default();
+    crawl_streamed(
+        &web.network,
+        frontier,
+        config,
+        &config.build_caches(),
+        StreamingOptions::default().chunk_sites,
+        |_, record| {
+            if let SiteOutcome::Success(visit) = &record.outcome {
+                let det = detect(visit);
+                fold.clusters.absorb(&det);
+                fold.fingerprintable_canvases += det.canvases.len();
+                fold.fingerprinting_sites += usize::from(det.is_fingerprinting());
+                fold.unstable_sites += usize::from(is_unstable(&det));
+            }
+        },
+    );
+    fold
+}
+
 /// Everything downstream of the two control-cohort analyses: figures,
-/// attribution, the optional re-crawl experiments, and assembly. Shared
-/// verbatim by [`run_study_streamed`] and [`run_study_supervised`] so the
-/// two paths cannot drift.
+/// attribution, the optional re-crawl experiments (each streamed through
+/// [`recrawl`]), and assembly. Shared verbatim by [`run_study_streamed`]
+/// and [`run_study_supervised`] so the two paths cannot drift.
 fn finish_study(
     web: &SyntheticWeb,
     options: &StudyOptions,
-    popular_frontier: &[canvassing_net::Url],
-    tail_frontier: &[canvassing_net::Url],
+    popular_frontier: &[Url],
+    tail_frontier: &[Url],
     popular: CohortAnalysis,
     tail: CohortAnalysis,
 ) -> StudyResults {
@@ -425,62 +437,35 @@ fn finish_study(
     let mut table2 = vec![Table2Row {
         label: "Control".into(),
         canvases: (
-            fingerprintable_canvases(&popular.detections),
-            fingerprintable_canvases(&tail.detections),
+            popular.prevalence.fingerprintable_extractions,
+            tail.prevalence.fingerprintable_extractions,
         ),
         sites: (
-            fingerprinting_sites(&popular.detections),
-            fingerprinting_sites(&tail.detections),
+            popular.prevalence.fingerprinting_sites,
+            tail.prevalence.fingerprinting_sites,
         ),
     }];
     if options.adblock_crawls {
         for kind in [AdBlockerKind::AdblockPlus, AdBlockerKind::UblockOrigin] {
             let mut config = CrawlConfig::with_adblocker(kind, &web.lists.easylist);
             config.workers = options.workers;
-            let p = crawl(&web.network, popular_frontier, &config);
-            let t = crawl(&web.network, tail_frontier, &config);
-            let p_det: Vec<SiteDetection> = p.successful().map(|(_, v)| detect(v)).collect();
-            let t_det: Vec<SiteDetection> = t.successful().map(|(_, v)| detect(v)).collect();
+            let p = recrawl(web, popular_frontier, &config);
+            let t = recrawl(web, tail_frontier, &config);
             table2.push(Table2Row {
                 label: kind.name().into(),
-                canvases: (
-                    fingerprintable_canvases(&p_det),
-                    fingerprintable_canvases(&t_det),
-                ),
-                sites: (fingerprinting_sites(&p_det), fingerprinting_sites(&t_det)),
+                canvases: (p.fingerprintable_canvases, t.fingerprintable_canvases),
+                sites: (p.fingerprinting_sites, t.fingerprinting_sites),
             });
         }
     }
 
     // §3.1 validation: M1 re-crawl of the popular cohort.
-    let validation = if options.m1_validation {
+    let validation = options.m1_validation.then(|| {
         let mut config = CrawlConfig::with_device(DeviceProfile::apple_m1());
         config.workers = options.workers;
-        let m1_ds = crawl(&web.network, popular_frontier, &config);
-        let m1_det: Vec<SiteDetection> = m1_ds.successful().map(|(_, v)| detect(v)).collect();
-        let m1_clustering = Clustering::build(m1_det.iter());
-        let intel_urls: std::collections::BTreeSet<&str> = popular
-            .clustering
-            .clusters
-            .iter()
-            .map(|c| c.data_url.as_str())
-            .collect();
-        let m1_urls: std::collections::BTreeSet<&str> = m1_clustering
-            .clusters
-            .iter()
-            .map(|c| c.data_url.as_str())
-            .collect();
-        Some(ValidationResult {
-            canvases_differ: intel_urls.is_disjoint(&m1_urls) || intel_urls != m1_urls,
-            partitions_match: popular.clustering.site_partition() == m1_clustering.site_partition(),
-            unique_canvases: (
-                popular.clustering.unique_canvases(),
-                m1_clustering.unique_canvases(),
-            ),
-        })
-    } else {
-        None
-    };
+        let m1 = recrawl(web, popular_frontier, &config).clusters.finish();
+        ValidationResult::compare(&popular.clustering, &m1)
+    });
 
     // E13 (extension): crawl the popular cohort under randomization
     // defenses and watch the clustering methodology degrade.
@@ -501,17 +486,14 @@ fn finish_study(
         ];
         for (label, defense) in sweep {
             let mut config = CrawlConfig::control();
-            config.label = format!("defense-{label}");
             config.workers = options.workers;
             config.defense = defense;
-            let ds = crawl(&web.network, popular_frontier, &config);
-            let detections: Vec<SiteDetection> = ds.successful().map(|(_, v)| detect(v)).collect();
-            let clustering = Clustering::build(detections.iter());
+            let fold = recrawl(web, popular_frontier, &config);
             defense_sweep.push(DefenseSweepRow {
                 label: label.to_string(),
-                unique_canvases: clustering.unique_canvases(),
-                unstable_sites: count_unstable_sites(&detections),
-                fingerprinting_sites: fingerprinting_sites(&detections),
+                unique_canvases: fold.clusters.unique_canvases(),
+                unstable_sites: fold.unstable_sites,
+                fingerprinting_sites: fold.fingerprinting_sites,
             });
         }
     }
@@ -1017,6 +999,36 @@ mod tests {
         assert!(report.contains("confusion matrix over unique scripts"));
         assert!(report.contains("double-render agrees"));
     }
+
+    #[test]
+    fn validation_compares_canvas_bytes_and_site_groupings() {
+        // One canvas shared by the same two sites on each device.
+        let clustering = |data_url: &str| Clustering {
+            clusters: vec![crate::cluster::Cluster {
+                hash: 0,
+                data_url: data_url.into(),
+                sites: ["a.example", "b.example"].map(String::from).into(),
+                extractions: 2,
+                script_urls: BTreeSet::new(),
+            }],
+        };
+        let (intel, m1) = (clustering("data:intel"), clustering("data:m1"));
+
+        let v = ValidationResult::compare(&intel, &m1);
+        assert!(v.canvases_differ);
+        assert!(v.partitions_match);
+        assert_eq!(v.unique_canvases, (1, 1));
+        assert!(!ValidationResult::compare(&intel, &intel).canvases_differ);
+
+        // Two devices that produced no fingerprintable canvas saw the
+        // same (empty) set of canvas bytes.
+        let empty = Clustering::default();
+        let v = ValidationResult::compare(&empty, &empty);
+        assert!(!v.canvases_differ);
+        assert!(v.partitions_match);
+        assert_eq!(v.unique_canvases, (0, 0));
+        assert!(ValidationResult::compare(&intel, &empty).canvases_differ);
+    }
 }
 
 #[cfg(test)]
@@ -1069,9 +1081,37 @@ mod defense_sweep_tests {
         // double-render check — footnote 7's point.
         assert!(per_session.unique_canvases > control.unique_canvases * 2);
         assert_eq!(per_session.unstable_sites, control.unstable_sites);
-        // Blocking collapses everything to the constant data URL — which
-        // the size heuristic then excludes entirely (toDataURL returns
-        // "data:," regardless of canvas size, carrying no PNG payload).
+        // Blocking collapses every canvas to the one constant data URL.
+        // The extraction is still recorded at the canvas's own size, so
+        // detection keeps it: the same sites fingerprint as in control.
         assert!(blocking.unique_canvases <= 1);
+
+        // Randomizing or blocking canvases changes their bytes, never
+        // whether a site extracts one.
+        for row in &results.defense_sweep {
+            assert_eq!(row.fingerprinting_sites, control.fingerprinting_sites);
+        }
+        // All four rows exactly, pinned for seed 31 at scale 0.02.
+        let rows: Vec<(&str, usize, usize, usize)> = results
+            .defense_sweep
+            .iter()
+            .map(|r| {
+                (
+                    r.label.as_str(),
+                    r.unique_canvases,
+                    r.unstable_sites,
+                    r.fingerprinting_sites,
+                )
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("control", 19, 0, 41),
+                ("per-render noise", 106, 15, 41),
+                ("per-session noise", 87, 0, 41),
+                ("canvas blocking", 1, 0, 41),
+            ]
+        );
     }
 }

@@ -550,8 +550,9 @@ pub fn crawl_with_stats(
 }
 
 /// Crawls with caller-owned caches, so repeated crawls over overlapping
-/// workloads (re-crawls, warm benchmark passes) skip work the caches
-/// already hold. The returned stats cover only this crawl's span.
+/// workloads (warm benchmark passes, cold-versus-warm checks) skip work
+/// the caches already hold. The returned stats cover only this crawl's
+/// span.
 ///
 /// This is [`crawl_streamed`] run as one whole-frontier chunk, with a
 /// sink that collects the records.
@@ -679,7 +680,8 @@ pub fn shard_range(len: usize, shard: usize, count: usize) -> std::ops::Range<us
 /// materialized into a dataset, so peak memory is O(chunk), independent
 /// of frontier length. This is the one chunked crawl loop:
 /// [`crawl_with_caches`] runs it as a single chunk with a collecting
-/// sink, and the study folds each cohort through it.
+/// sink, and the streamed study folds every crawl, control and re-crawl
+/// alike, through it.
 ///
 /// Determinism contract:
 ///
