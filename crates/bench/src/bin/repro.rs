@@ -9,7 +9,9 @@
 //! `e8` (randomization checks), `e9` (excluded canvases), `e10`
 //! (cross-device validation), `e12` ($document rule design), `e14`
 //! (static-vs-dynamic cross-validation), or `all` (default).
-//! Paper-vs-measured comparisons print as aligned tables.
+//! Paper-vs-measured comparisons print as aligned tables on standard
+//! output; progress, the study's wall time and the process's peak
+//! resident set (`VmHWM`) go to standard error.
 
 // Tests/tools exercise failure paths where panicking on a broken
 // invariant is the correct outcome.
@@ -62,6 +64,17 @@ fn parse_args() -> Args {
     args
 }
 
+/// The process's peak resident set so far, `VmHWM` of
+/// `/proc/self/status`, in whole MB.
+fn peak_rss_mb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))?;
+    let kb: u64 = kb.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024)
+}
+
 /// One paper-vs-measured comparison line.
 fn cmp(label: &str, paper: &str, measured: String) {
     println!("  {label:<52} paper: {paper:<14} measured: {measured}");
@@ -107,6 +120,10 @@ fn main() {
     let results = run_study_streamed(&web, &options, &StreamingOptions::default())
         .expect("the streamed study does no I/O");
     eprintln!("study completed in {:.1?}", start.elapsed());
+    match peak_rss_mb() {
+        Some(mb) => eprintln!("peak RSS {mb} MB (VmHWM)"),
+        None => eprintln!("peak RSS unavailable (no /proc/self/status)"),
+    }
 
     if want("e1") {
         print_e1(&results);

@@ -119,7 +119,7 @@ mod vendor_script_tests {
     fn commercial_fpjs_renders_same_canvases_as_oss() {
         let oss = run_vendor(VendorId::FingerprintJs, false);
         let pro = run_vendor(VendorId::FingerprintJs, true);
-        let urls = |v: &PageVisit| -> std::collections::BTreeSet<String> {
+        let urls = |v: &PageVisit| -> std::collections::BTreeSet<canvassing_raster::SharedText> {
             v.extractions.iter().map(|e| e.data_url.clone()).collect()
         };
         assert_eq!(urls(&oss), urls(&pro));

@@ -55,6 +55,12 @@ use canvassing_script::{
 
 /// The canonical record of one (script body, device) render, normalized
 /// to a fresh document (clock 0, empty record, canvas indices from 0).
+///
+/// Each canvas is held once, as the [`canvassing_raster::SharedText`] its
+/// `toDataURL` built (with its content hash): an extraction's `data_url`
+/// and the call's `return_value` are the same handle, and replay clones
+/// the handle into the visit, so every visit replaying this entry shares
+/// the entry's bytes instead of copying them.
 #[derive(Debug)]
 pub struct RenderEntry {
     /// Interpreter steps the canonical run consumed.
@@ -63,7 +69,8 @@ pub struct RenderEntry {
     pub error: Option<String>,
     /// Normalized API calls.
     pub calls: Vec<ApiCall>,
-    /// Normalized extractions (canvas bytes ride along as data URLs).
+    /// Normalized extractions; their data URLs are the handles replay
+    /// shares.
     pub extractions: Vec<Extraction>,
     /// Canvas elements the script created.
     pub canvases_created: usize,

@@ -458,6 +458,13 @@ impl Browser {
                 rec.instant("consent.accepted", String::new);
                 doc.advance_clock(350);
                 elapsed_ms += 350;
+                if deadline.is_some_and(|d| elapsed_ms > d) {
+                    return Err(salvaged(
+                        visit,
+                        doc,
+                        VisitError::DeadlineExceeded(page_url.clone()),
+                    ));
+                }
             } else {
                 rec.instant("consent.declined", String::new);
                 trace_stage_tail(rec, false, &visit);
@@ -646,6 +653,7 @@ mod tests {
     use super::*;
     use crate::extension::AdBlockerKind;
     use canvassing_net::{PageResource, Resource, ScriptResource};
+    use canvassing_raster::SharedText;
 
     fn simple_network() -> Network {
         let mut network = Network::new();
@@ -786,6 +794,61 @@ mod tests {
     }
 
     #[test]
+    fn consent_delay_past_deadline_fails_the_visit() {
+        // Three consent-banner pages whose scripts never trigger a later
+        // deadline check: one blocked by the ad blocker, none at all, and
+        // one on a host the network does not serve. The 350 ms banner
+        // delay alone must push each past a deadline 100 ms after the
+        // page arrived.
+        let mut network = simple_network();
+        let consent_page = |scripts: Vec<ScriptRef>| {
+            Resource::Page(PageResource {
+                scripts,
+                consent_banner: true,
+                bot_check: false,
+            })
+        };
+        let pages = [
+            (
+                Url::https("blocked-consent.com", "/"),
+                vec![ScriptRef::External(Url::https("fp.example.net", "/fp.js"))],
+            ),
+            (Url::https("empty-consent.com", "/"), vec![]),
+            (
+                Url::https("unhosted-consent.com", "/"),
+                vec![ScriptRef::External(Url::https("nowhere.example", "/x.js"))],
+            ),
+        ];
+        for (page, scripts) in &pages {
+            network.host(page, consent_page(scripts.clone()));
+        }
+        for (page, _) in &pages {
+            let mut browser = intel_browser();
+            browser.extension = Some(Extension::new(
+                AdBlockerKind::AdblockPlus,
+                "||fp.example.net^$script\n",
+            ));
+            browser.policy.deadline_ms = Some(canvassing_net::latency_ms(&page.host) + 100);
+            let abort = browser
+                .visit_supervised(
+                    &network,
+                    page,
+                    0,
+                    &VisitRecorder::disabled(),
+                    &BTreeSet::new(),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(abort.error, VisitError::DeadlineExceeded(_)),
+                "{page}: {:?}",
+                abort.error
+            );
+            let partial = abort.partial.expect("the page arrived");
+            assert!(partial.consent_banner);
+        }
+    }
+
+    #[test]
     fn spiked_script_host_blows_the_deadline_too() {
         use canvassing_net::Fault;
         let mut network = simple_network();
@@ -891,6 +954,38 @@ mod tests {
         let snap = cached.caches.perf.snapshot();
         assert_eq!(snap.memo_computes, 1);
         assert!(snap.memo_hits >= 1, "warm visit must replay: {snap:?}");
+    }
+
+    #[test]
+    fn memo_replays_share_one_canvas_handle() {
+        let mut network = simple_network();
+        network.host(
+            &Url::https("other.com", "/"),
+            Resource::Page(PageResource {
+                scripts: vec![ScriptRef::External(Url::https("fp.example.net", "/fp.js"))],
+                consent_banner: false,
+                bot_check: false,
+            }),
+        );
+        let mut browser = intel_browser();
+        browser.caches = CrawlCaches::enabled();
+        let a = browser
+            .visit(&network, &Url::https("site.com", "/"))
+            .unwrap();
+        let b = browser
+            .visit(&network, &Url::https("other.com", "/"))
+            .unwrap();
+        assert_eq!(browser.caches.perf.snapshot().memo_hits, 1);
+        let (x, y) = (&a.extractions[0].data_url, &b.extractions[0].data_url);
+        assert!(SharedText::ptr_eq(x, y), "replays copy no canvas bytes");
+        let returned = b
+            .api_calls
+            .iter()
+            .find(|c| c.name == "toDataURL")
+            .and_then(|c| c.return_value.as_ref())
+            .expect("toDataURL records its return value");
+        assert!(SharedText::ptr_eq(returned, y));
+        assert_eq!(y.hash(), canvassing_raster::content_hash(y.as_bytes()));
     }
 
     #[test]

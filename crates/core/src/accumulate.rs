@@ -9,13 +9,21 @@
 //!
 //! * prevalence scalars plus a canvases-per-site **histogram** (not the
 //!   per-site vector);
-//! * a cluster map keyed by canvas bytes;
+//! * a cluster map that finds a canvas's cluster by content hash, then
+//!   by bytes ([`ClusterAccumulator`]);
 //! * evasion / blocklist-coverage counters;
 //! * the static-vs-dynamic vote map keyed by unique script body;
 //! * fidelity-tier bias accounting;
 //! * only the **fingerprinting-site** detections are retained (for
 //!   attribution), keyed by site — roughly a tenth of the stream,
 //!   carrying canvases rather than full visits.
+//!
+//! The cohort holds each distinct canvas once. Each canvas is a
+//! [`canvassing_raster::SharedText`] handle, and absorbing a detection
+//! points each of its canvases at its cluster's handle before the
+//! detection is retained. However many sites render one test canvas, its
+//! bytes live in one allocation, and [`CohortAccumulator::finish`] copies
+//! pointers, not canvases.
 //!
 //! `absorb` is commutative up to the record stream being a set of
 //! distinct sites: any fold order reaches the same state (gated by the
@@ -57,7 +65,8 @@ pub struct CohortAccumulator {
     /// Fingerprinting-site detections, keyed by site. Attribution, the
     /// study's consumer of `CohortAnalysis::detections`, is insensitive to
     /// both this projection (non-fingerprinting detections carry no
-    /// canvases) and the site ordering.
+    /// canvases) and the site ordering. Their canvases share the
+    /// clusters' handles.
     retained: BTreeMap<String, SiteDetection>,
 }
 
@@ -95,9 +104,9 @@ impl CohortAccumulator {
         self.attempted += 1;
         match &record.outcome {
             SiteOutcome::Success(visit) => {
-                let det = detect(visit);
+                let mut det = detect(visit);
                 self.prevalence.absorb(&det);
-                self.clusters.absorb(&det);
+                self.clusters.absorb(&mut det);
                 self.evasion.absorb(&det);
                 self.coverage
                     .absorb(&det, easylist, easyprivacy, disconnect);
@@ -150,6 +159,7 @@ mod tests {
     use crate::validation::cross_validate;
     use canvassing_crawler::{crawl, CrawlConfig, CrawlDataset, RetryPolicy};
     use canvassing_net::FaultMatrix;
+    use canvassing_raster::SharedText;
     use canvassing_webgen::{SyntheticWeb, WebConfig};
 
     /// Deterministic 64-bit LCG (Knuth MMIX constants) so the sweep
@@ -293,6 +303,51 @@ mod tests {
             .collect();
         assert_eq!(streamed_fp, batch_fp);
         assert!(!streamed_fp.is_empty(), "pool has fingerprinting sites");
+    }
+
+    /// Retained detections hold their clusters' handles, so a cohort
+    /// keeps each distinct canvas once, also when records arrive as JSON
+    /// (the supervised merge) with canvases of their own. The pool is the
+    /// fault-free popular frontier of `record_pool`'s web: the faulted
+    /// 72-site pool renders no canvas on two sites.
+    #[test]
+    fn retained_canvases_share_their_clusters_handles() {
+        let web = SyntheticWeb::generate(WebConfig {
+            seed: 11,
+            scale: 0.02,
+        });
+        let frontier = web.frontier(Cohort::Popular);
+        let dataset = crawl(&web.network, &frontier, &CrawlConfig::control());
+        let records: Vec<SiteRecord> = dataset
+            .records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| match i % 2 {
+                0 => serde_json::from_str(&serde_json::to_string(r).unwrap()).unwrap(),
+                _ => r.clone(),
+            })
+            .collect();
+        let refs: Vec<&SiteRecord> = records.iter().collect();
+        let acc = absorb_all(&refs, &web);
+        let analysis = acc.finish(Cohort::Popular);
+        assert!(
+            analysis
+                .clustering
+                .clusters
+                .iter()
+                .any(|c| c.site_count() > 1),
+            "some canvas is rendered on several sites"
+        );
+        for d in acc.retained.values().chain(&analysis.detections) {
+            for c in &d.canvases {
+                let cluster = analysis.clustering.find(&c.data_url).unwrap();
+                assert!(
+                    SharedText::ptr_eq(&c.data_url, &cluster.data_url),
+                    "{}: canvas not shared with its cluster",
+                    d.site
+                );
+            }
+        }
     }
 
     /// Seeded property sweep: 400 random subsets of the pool, each

@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use canvassing_net::{Network, Resource, Url};
-use canvassing_raster::DeviceProfile;
+use canvassing_raster::{DeviceProfile, SharedText};
 use canvassing_vendors::{all_vendors, VendorId};
 use serde::{Deserialize, Serialize};
 
@@ -35,7 +35,7 @@ use crate::detect::SiteDetection;
 #[derive(Debug, Clone, Default)]
 pub struct GroundTruth {
     /// Vendor → set of test-canvas data URLs.
-    pub canvases: BTreeMap<VendorId, BTreeSet<String>>,
+    pub canvases: BTreeMap<VendorId, BTreeSet<SharedText>>,
     /// How each vendor's truth was obtained (for Table 3).
     pub methods: BTreeMap<VendorId, &'static str>,
 }
@@ -170,7 +170,7 @@ pub fn attribute(
         } else if let Some(pattern) = vendor.url_pattern {
             // Pure script-pattern attribution (mail.ru, AWS WAF): find the
             // canvases produced by matching scripts, then group.
-            let mut canvas_set: BTreeSet<String> = BTreeSet::new();
+            let mut canvas_set: BTreeSet<SharedText> = BTreeSet::new();
             for d in popular.iter().chain(tail.iter()) {
                 for c in &d.canvases {
                     if c.script_url.to_string().contains(pattern) {
@@ -233,7 +233,7 @@ fn collect_imperva_sites<'a>(
 
 fn collect_sites_by_canvas<'a>(
     detections: &'a [SiteDetection],
-    canvas_set: &BTreeSet<String>,
+    canvas_set: &BTreeSet<SharedText>,
     out: &mut BTreeSet<&'a str>,
 ) {
     for d in detections {
@@ -285,7 +285,7 @@ fn imperva_path_shaped(url: &Url) -> bool {
 fn count_commercial_fpjs(
     network: &Network,
     detections: &[SiteDetection],
-    fpjs_canvases: &BTreeSet<String>,
+    fpjs_canvases: &BTreeSet<SharedText>,
 ) -> usize {
     let mut commercial_sites: BTreeSet<&str> = BTreeSet::new();
     for d in detections {
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn canvas_set_attribution_groups_sites() {
-        let truth_set: BTreeSet<String> = ["data:akamai".to_string()].into();
+        let truth_set: BTreeSet<SharedText> = [SharedText::from("data:akamai")].into();
         let detections = vec![
             det(
                 "a.com",

@@ -5,9 +5,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use canvassing_raster::SharedText;
 use serde::{Deserialize, Serialize};
 
-use crate::detect::SiteDetection;
+use crate::detect::{FpCanvas, SiteDetection};
 
 /// One canvas cluster: a distinct data URL and everything observed about
 /// its use.
@@ -16,8 +17,9 @@ pub struct Cluster {
     /// Content hash of the data URL (cluster identity in reports; the
     /// full data URL is kept for exactness).
     pub hash: u64,
-    /// The canvas bytes (data URL).
-    pub data_url: String,
+    /// The canvas bytes (data URL): the one copy a cohort holds, which
+    /// every retained detection of this canvas shares.
+    pub data_url: SharedText,
     /// Sites on which the canvas was extracted.
     pub sites: BTreeSet<String>,
     /// Total extractions (≥ `sites.len()` when double-rendered).
@@ -45,8 +47,8 @@ impl Clustering {
     /// Builds clusters from per-site detections.
     pub fn build<'a, I: IntoIterator<Item = &'a SiteDetection>>(detections: I) -> Clustering {
         let mut acc = ClusterAccumulator::default();
-        for d in detections {
-            acc.absorb(d);
+        for c in detections.into_iter().flat_map(|d| &d.canvases) {
+            acc.add(c);
         }
         acc.finish()
     }
@@ -90,47 +92,67 @@ impl Clustering {
     }
 }
 
-/// Streaming fold for [`Clustering`]: a map keyed by canvas bytes (data
-/// URL). Cluster membership is pure set union plus an extraction
-/// counter, so absorb order never changes the finished clustering.
+/// Streaming fold for [`Clustering`]. Clusters are found by the canvas's
+/// content hash, then told apart by their bytes, so the key stays byte
+/// equality and a hash collision gets a cluster of its own. Cluster
+/// membership is pure set union plus an extraction counter, so absorb
+/// order never changes the finished clustering.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterAccumulator {
-    clusters: BTreeMap<String, Cluster>,
+    /// Clusters by content hash; canvases whose hashes collide share a
+    /// bucket.
+    clusters: BTreeMap<u64, Vec<Cluster>>,
 }
 
 impl ClusterAccumulator {
-    /// Folds one site's detection into the cluster map.
-    pub fn absorb(&mut self, d: &SiteDetection) {
-        for c in &d.canvases {
-            let entry = self
-                .clusters
-                .entry(c.data_url.clone())
-                .or_insert_with(|| Cluster {
+    /// Folds one site's detection into the cluster map and points each of
+    /// its canvases at its cluster's handle, so a retained detection
+    /// holds no canvas bytes of its own.
+    pub fn absorb(&mut self, d: &mut SiteDetection) {
+        for c in &mut d.canvases {
+            c.data_url = self.add(c).data_url.clone();
+        }
+    }
+
+    /// Counts one canvas observation into its cluster, creating the
+    /// cluster (with the canvas's handle) on first sight.
+    fn add(&mut self, c: &FpCanvas) -> &Cluster {
+        let bucket = self.clusters.entry(c.hash).or_default();
+        let i = match bucket.iter().position(|k| k.data_url == c.data_url) {
+            Some(i) => i,
+            None => {
+                bucket.push(Cluster {
                     hash: c.hash,
                     data_url: c.data_url.clone(),
                     sites: BTreeSet::new(),
                     extractions: 0,
                     script_urls: BTreeSet::new(),
                 });
-            entry.sites.insert(c.site.clone());
-            entry.extractions += 1;
-            entry.script_urls.insert(c.script_url.to_string());
-        }
+                bucket.len() - 1
+            }
+        };
+        let entry = &mut bucket[i];
+        entry.sites.insert(c.site.clone());
+        entry.extractions += 1;
+        entry.script_urls.insert(c.script_url.to_string());
+        entry
     }
 
     /// Number of distinct canvases absorbed so far.
     pub fn unique_canvases(&self) -> usize {
-        self.clusters.len()
+        self.clusters.values().map(Vec::len).sum()
     }
 
     /// Finalizes into a [`Clustering`], sorted exactly as the batch path:
-    /// descending site count with a stable tie-break on hash.
+    /// descending site count, then hash, then bytes. The clusters share
+    /// their handles with the accumulator, so this copies no canvas.
     pub fn finish(&self) -> Clustering {
-        let mut clusters: Vec<Cluster> = self.clusters.values().cloned().collect();
+        let mut clusters: Vec<Cluster> = self.clusters.values().flatten().cloned().collect();
         clusters.sort_by(|a, b| {
             b.site_count()
                 .cmp(&a.site_count())
                 .then(a.hash.cmp(&b.hash))
+                .then_with(|| a.data_url.cmp(&b.data_url))
         });
         Clustering { clusters }
     }
@@ -296,7 +318,7 @@ mod tests {
         // Absorbing in a scrambled order finishes into the batch build.
         let mut acc = ClusterAccumulator::default();
         for i in [3, 0, 2, 1] {
-            acc.absorb(&sites[i]);
+            acc.absorb(&mut sites[i].clone());
         }
         let streamed = acc.finish();
         assert_eq!(

@@ -15,6 +15,7 @@
 use canvassing_browser::PageVisit;
 use canvassing_dom::{ApiInterface, CallKind};
 use canvassing_net::{classify_party, is_popular_cdn, Party, Url};
+use canvassing_raster::SharedText;
 use serde::{Deserialize, Serialize};
 
 /// Why an extraction was excluded from the fingerprintable set.
@@ -40,8 +41,9 @@ pub const MIN_CANVAS_EDGE: u32 = 16;
 pub struct FpCanvas {
     /// Host of the page the canvas was extracted on.
     pub site: String,
-    /// The full data URL (the clustering key).
-    pub data_url: String,
+    /// The full data URL (the clustering key): the extraction's handle,
+    /// and once clustered, its cluster's.
+    pub data_url: SharedText,
     /// Stable content hash of the data URL.
     pub hash: u64,
     /// URL of the extracting script (page URL for bundled code).
@@ -148,7 +150,7 @@ pub fn detect(visit: &PageVisit) -> SiteDetection {
                 };
                 out.canvases.push(FpCanvas {
                     site: visit.page.host.clone(),
-                    hash: canvassing_raster::content_hash(e.data_url.as_bytes()),
+                    hash: e.data_url.hash(),
                     data_url: e.data_url.clone(),
                     cdn: !inline && is_popular_cdn(&script_url.host),
                     script_url,
@@ -164,9 +166,9 @@ pub fn detect(visit: &PageVisit) -> SiteDetection {
 
     // Double-render signature: an identical fingerprintable canvas
     // extracted at least twice on this page.
-    let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
+    let mut counts: std::collections::BTreeMap<&SharedText, usize> = Default::default();
     for c in &out.canvases {
-        *counts.entry(c.data_url.as_str()).or_default() += 1;
+        *counts.entry(&c.data_url).or_default() += 1;
     }
     out.double_render_check = counts.values().any(|&n| n >= 2);
     out

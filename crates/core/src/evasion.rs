@@ -107,7 +107,7 @@ mod tests {
     fn canvas(site: &str, party: Party, inline: bool, cdn: bool, cname: bool) -> FpCanvas {
         FpCanvas {
             site: site.into(),
-            data_url: format!("data:{site}"),
+            data_url: format!("data:{site}").into(),
             hash: 0,
             script_url: Url::https("s.net", "/f.js"),
             inline,

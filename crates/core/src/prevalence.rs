@@ -178,7 +178,7 @@ mod tests {
             canvases: (0..n)
                 .map(|i| FpCanvas {
                     site: host.into(),
-                    data_url: format!("data:{i}"),
+                    data_url: format!("data:{i}").into(),
                     hash: i as u64,
                     script_url: Url::https("s.net", "/f.js"),
                     inline: false,

@@ -58,7 +58,7 @@ impl Lcg {
                         let id = self.below(CANVAS_IDS);
                         FpCanvas {
                             site: site.clone(),
-                            data_url: format!("data:canvas-{id}"),
+                            data_url: format!("data:canvas-{id}").into(),
                             hash: id as u64,
                             script_url: Url::https("s.example", "/f.js"),
                             inline: false,

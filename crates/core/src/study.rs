@@ -20,7 +20,7 @@ use canvassing_crawler::{
     SiteOutcome, SupervisionReport, SupervisorConfig,
 };
 use canvassing_net::Url;
-use canvassing_raster::DeviceProfile;
+use canvassing_raster::{DeviceProfile, SharedText};
 use canvassing_webgen::{Cohort, SyntheticWeb};
 use serde::{Deserialize, Serialize};
 
@@ -361,10 +361,10 @@ pub fn run_study_supervised(
 /// two same-sized canvases with different bytes, the signature of
 /// per-render randomization.
 fn is_unstable(d: &SiteDetection) -> bool {
-    let mut first: BTreeMap<(String, u32, u32), &str> = BTreeMap::new();
+    let mut first: BTreeMap<(String, u32, u32), &SharedText> = BTreeMap::new();
     d.canvases.iter().any(|c| {
         let key = (c.script_url.to_string(), c.width, c.height);
-        *first.entry(key).or_insert(&c.data_url) != c.data_url
+        *first.entry(key).or_insert(&c.data_url) != &c.data_url
     })
 }
 
@@ -391,8 +391,8 @@ fn recrawl(web: &SyntheticWeb, frontier: &[Url], config: &CrawlConfig) -> Recraw
         StreamingOptions::default().chunk_sites,
         |_, record| {
             if let SiteOutcome::Success(visit) = &record.outcome {
-                let det = detect(visit);
-                fold.clusters.absorb(&det);
+                let mut det = detect(visit);
+                fold.clusters.absorb(&mut det);
                 fold.fingerprintable_canvases += det.canvases.len();
                 fold.fingerprinting_sites += usize::from(det.is_fingerprinting());
                 fold.unstable_sites += usize::from(is_unstable(&det));

@@ -974,7 +974,7 @@ mod tests {
         let b = crawl(&network, &frontier, &many);
         let urls = |d: &CrawlDataset| -> Vec<String> {
             d.successful()
-                .flat_map(|(_, v)| v.extractions.iter().map(|e| e.data_url.clone()))
+                .flat_map(|(_, v)| v.extractions.iter().map(|e| e.data_url.to_string()))
                 .collect()
         };
         assert_eq!(urls(&a), urls(&b));

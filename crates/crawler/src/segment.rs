@@ -21,7 +21,10 @@
 //! also uses. Because the breaker plan is always computed over the *full*
 //! frontier, the result is a dataset byte-identical to a single
 //! uninterrupted crawl, and each record is held once, never copied.
-//! That identity is the merge's proof obligation and what
+//! Records share their canvases too: as each segment's records take their
+//! slots, every data URL and call return value is pointed at the first
+//! equal text the merge kept, so the merged dataset holds each distinct
+//! canvas once. That identity is the merge's proof obligation and what
 //! `tests/streaming_equivalence.rs`, `tests/checkpoint_recovery.rs` and
 //! `tests/supervisor_chaos.rs` sweep.
 
@@ -32,10 +35,11 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use canvassing_net::{Network, Url};
+use canvassing_raster::SharedText;
 use canvassing_trace::{TraceSink, VisitRecorder};
 
 use crate::checkpoint::{recover, CheckpointWriter};
-use crate::dataset::{CrawlDataset, SiteRecord};
+use crate::dataset::{CrawlDataset, SiteFailure, SiteOutcome, SiteRecord};
 use crate::{fill_gaps, CrawlConfig};
 
 /// Rolls visit records into bounded CRC-framed segment files.
@@ -259,6 +263,9 @@ pub struct MergeReport {
 /// `(network, url, config)`, the merged dataset is byte-identical to a
 /// single uninterrupted crawl — regardless of shard count, segment size,
 /// how many segments were torn, or the order segments are listed in.
+/// Each record that takes a slot, recovered or gap-filled, shares its
+/// texts with the records before it ([`share_texts`]), one segment at a
+/// time, so only the segment being read holds canvases of its own.
 /// Duplicate safety: segments are read in the given order (the caller
 /// passes a name-sorted list, i.e. `(shard, epoch, seq)` order) and
 /// records deduplicate by site — the first occurrence wins its slot.
@@ -281,6 +288,7 @@ pub(crate) fn merge_segments(
     }
     let mut slots: Vec<Option<SiteRecord>> = frontier.iter().map(|_| None).collect();
     let mut strays: BTreeSet<Url> = BTreeSet::new();
+    let mut kept: BTreeSet<SharedText> = BTreeSet::new();
     let (mut dirty, mut total, mut unique) = (0usize, 0usize, 0usize);
     for path in segments {
         let (records, clean) = recover_segment(path)?;
@@ -290,10 +298,11 @@ pub(crate) fn merge_segments(
         emit_spill_instant(trace, &config.label, "segment.merge", || {
             format!("{} records={}", path.display(), records.len())
         });
-        for record in records {
+        for mut record in records {
             total += 1;
             let first = match position.get(&record.url).and_then(|&i| slots.get_mut(i)) {
                 Some(slot) if slot.is_none() => {
+                    share_texts(&mut record, &mut kept);
                     *slot = Some(record);
                     true
                 }
@@ -303,8 +312,12 @@ pub(crate) fn merge_segments(
             unique += usize::from(first);
         }
     }
-    let recrawled = slots.iter().filter(|slot| slot.is_none()).count();
-    let merged = fill_gaps(network, frontier, config, slots);
+    let gaps: Vec<usize> = (0..slots.len()).filter(|&i| slots[i].is_none()).collect();
+    let mut merged = fill_gaps(network, frontier, config, slots);
+    for &i in &gaps {
+        share_texts(&mut merged.records[i], &mut kept);
+    }
+    let recrawled = gaps.len();
     let report = MergeReport {
         segments: segments.len(),
         records_recovered: unique,
@@ -313,6 +326,34 @@ pub(crate) fn merge_segments(
         recrawled,
     };
     Ok((merged, report))
+}
+
+/// Points each extraction's data URL and each call's return value in
+/// `record` at the equal text in `kept`, adding the ones `kept` lacks.
+/// `kept` is ordered by bytes, so the merge matches canvases without
+/// hashing them.
+fn share_texts(record: &mut SiteRecord, kept: &mut BTreeSet<SharedText>) {
+    let visit = match &mut record.outcome {
+        SiteOutcome::Success(visit)
+        | SiteOutcome::Failure(SiteFailure {
+            salvage: Some(visit),
+            ..
+        }) => visit,
+        SiteOutcome::Failure(_) => return,
+    };
+    let data_urls = visit.extractions.iter_mut().map(|e| &mut e.data_url);
+    let returns = visit
+        .api_calls
+        .iter_mut()
+        .filter_map(|c| c.return_value.as_mut());
+    for text in data_urls.chain(returns) {
+        match kept.get(&*text) {
+            Some(shared) => *text = shared.clone(),
+            None => {
+                kept.insert(text.clone());
+            }
+        }
+    }
 }
 
 /// One spill-side instant on an optional sink — the shared emission

@@ -1123,4 +1123,43 @@ mod tests {
         assert_eq!(ds.records.len(), 8, "the first segment sealed whole");
         fs::remove_dir_all(&dir).ok();
     }
+
+    #[test]
+    fn merge_shares_each_canvas_across_overlapping_shards() {
+        use crate::dataset::SiteOutcome;
+        use canvassing_raster::SharedText;
+        let (web, frontier, config) = workload();
+        let dir = tmp_dir("share");
+        let mut faults = FaultScript::none();
+        faults.duplicate_launch(0, 2);
+        faults.inject(1, 1, WorkerFault::CrashAtRecord(3));
+        let (merged, report) =
+            supervise_crawl(&web.network, &frontier, &config, &dir, &sup(2, 5), &faults).unwrap();
+        assert!(report.merge.duplicates_dropped > 0, "shard 0 ran twice");
+        let direct = crate::crawl(&web.network, &frontier, &config);
+        assert_eq!(
+            serde_json::to_string(&merged).unwrap(),
+            serde_json::to_string(&direct).unwrap()
+        );
+        // Every text equal to an earlier one is that one's allocation.
+        let mut first: BTreeMap<&str, &SharedText> = BTreeMap::new();
+        let mut shared = 0;
+        for record in &merged.records {
+            let SiteOutcome::Success(visit) = &record.outcome else {
+                continue;
+            };
+            let data_urls = visit.extractions.iter().map(|e| &e.data_url);
+            let returns = visit
+                .api_calls
+                .iter()
+                .filter_map(|c| c.return_value.as_ref());
+            for text in data_urls.chain(returns) {
+                let kept = *first.entry(text.as_str()).or_insert(text);
+                assert!(SharedText::ptr_eq(kept, text), "{} copied", record.url);
+                shared += usize::from(!std::ptr::eq(kept, text) && text.starts_with("data:"));
+            }
+        }
+        assert!(shared > 0, "the workload repeats canvases across records");
+        fs::remove_dir_all(&dir).ok();
+    }
 }

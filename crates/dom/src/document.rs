@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use canvassing_raster::canvas::{data_url, ImageFormat};
-use canvassing_raster::{Canvas2D, DeviceProfile, Surface, SurfacePool};
+use canvassing_raster::{Canvas2D, DeviceProfile, SharedText, Surface, SurfacePool};
 use canvassing_script::{Host, HostRef, RuntimeError, Value};
 
 use crate::record::{ApiCall, ApiInterface, CallKind, Extraction};
@@ -247,7 +247,7 @@ impl Document {
         kind: CallKind,
         name: &str,
         args: Vec<String>,
-        return_value: Option<String>,
+        return_value: Option<SharedText>,
         canvas_index: usize,
     ) {
         self.clock_ms += 1;
@@ -271,10 +271,13 @@ impl Document {
         }
     }
 
-    fn extract_data_url(&mut self, index: usize, mime: &str, quality: Option<f64>) -> String {
+    /// Encodes canvas `index` and records the extraction. The returned
+    /// handle, hashed here, is the one the extraction holds; the
+    /// `toDataURL` call records it too.
+    fn extract_data_url(&mut self, index: usize, mime: &str, quality: Option<f64>) -> SharedText {
         self.extraction_count += 1;
         let canvas = &self.canvases[index];
-        let url = match &mut self.defense {
+        let url = SharedText::hashed(&match &mut self.defense {
             ReadbackDefense::None => canvas.to_data_url(mime, quality),
             ReadbackDefense::Block => BLOCKED_DATA_URL.to_string(),
             ReadbackDefense::Filter(filter) => {
@@ -282,7 +285,7 @@ impl Document {
                 filter.filter(index, &mut surface, self.extraction_count);
                 data_url(&surface, mime, quality)
             }
-        };
+        });
         let canvas = &self.canvases[index];
         self.extractions.push(Extraction {
             seq: self.calls.len() as u64, // the call is recorded right after
@@ -356,7 +359,7 @@ impl Host for Document {
                     CallKind::Get,
                     name,
                     vec![],
-                    Some(v.to_display_string()),
+                    Some(v.to_display_string().into()),
                     i,
                 );
                 Ok(v)
@@ -387,7 +390,7 @@ impl Host for Document {
                     CallKind::Get,
                     name,
                     vec![],
-                    Some(v.to_display_string()),
+                    Some(v.to_display_string().into()),
                     i,
                 );
                 Ok(v)
@@ -561,15 +564,16 @@ impl Host for Document {
                         };
                         let quality = args.get(1).and_then(Value::as_num);
                         let url = self.extract_data_url(i, &mime, quality);
+                        let value = Value::Str(url.to_string());
                         self.record(
                             ApiInterface::Canvas,
                             CallKind::Method,
                             "toDataURL",
                             fmt_args(&args),
-                            Some(url.clone()),
+                            Some(url),
                             i,
                         );
-                        Ok(Value::Str(url))
+                        Ok(value)
                     }
                     "toBlob" => Err(RuntimeError::new("toBlob is not modeled (async)")),
                     other => Err(RuntimeError::new(format!(

@@ -6,6 +6,7 @@
 //! `CanvasRenderingContext2D` and `HTMLCanvasElement`" (§3.1). These types
 //! are that log.
 
+use canvassing_raster::SharedText;
 use serde::{Deserialize, Serialize};
 
 /// Which instrumented interface an event belongs to.
@@ -44,7 +45,9 @@ pub struct ApiCall {
     /// Stringified arguments (for `Set`, the assigned value).
     pub args: Vec<String>,
     /// Stringified return value when interesting (notably `toDataURL`).
-    pub return_value: Option<String>,
+    /// A `toDataURL` call holds the same handle as its [`Extraction`]'s
+    /// `data_url`, so the canvas bytes are stored once per record.
+    pub return_value: Option<SharedText>,
     /// URL of the script that performed the call (the page URL for inline
     /// first-party-bundled code).
     pub script_url: String,
@@ -62,8 +65,10 @@ pub struct Extraction {
     pub timestamp_ms: u64,
     /// Per-document canvas index.
     pub canvas_index: usize,
-    /// The full data URL returned to the script.
-    pub data_url: String,
+    /// The full data URL returned to the script. The handle is built once
+    /// per `toDataURL`, hashed where it is built, and shared by the call's
+    /// `return_value` and by every memo replay of the render.
+    pub data_url: SharedText,
     /// MIME type actually used (`image/png`, `image/jpeg`, `image/webp`).
     pub mime: String,
     /// Canvas width at extraction time.
@@ -77,7 +82,7 @@ pub struct Extraction {
 impl Extraction {
     /// Stable content hash of the data URL (used for clustering).
     pub fn content_hash(&self) -> u64 {
-        canvassing_raster::content_hash(self.data_url.as_bytes())
+        self.data_url.hash()
     }
 }
 

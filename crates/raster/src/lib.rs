@@ -28,7 +28,9 @@
 //! * [`base64`] — RFC 4648 codec for `toDataURL`;
 //! * [`text`] — an embedded 5×7 face, CSS font shorthand parsing, layout
 //!   with per-device metric jitter, and procedural emoji;
-//! * [`device`] — rendering profiles for the paper's crawl machines.
+//! * [`device`] — rendering profiles for the paper's crawl machines;
+//! * [`SharedText`] — the handle every record holds a data URL through:
+//!   one shared copy of the bytes plus their [`content_hash`].
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
@@ -46,6 +48,7 @@ pub mod png;
 pub mod pool;
 #[cfg(test)]
 mod proptests;
+pub mod shared;
 pub mod stroke;
 pub mod surface;
 pub mod text;
@@ -55,6 +58,7 @@ pub use color::Color;
 pub use device::DeviceProfile;
 pub use paint::{Gradient, Paint};
 pub use pool::SurfacePool;
+pub use shared::SharedText;
 pub use surface::Surface;
 
 /// A stable 64-bit content hash (FNV-1a) used to cluster identical

@@ -72,7 +72,7 @@ fn run(defense: DefenseMode) -> (bool, Vec<String>) {
     let urls: Vec<String> = visit
         .extractions
         .iter()
-        .map(|e| e.data_url.clone())
+        .map(|e| e.data_url.to_string())
         .collect();
     let stable = urls.len() >= 2 && urls[0] == urls[1];
     (stable, urls)

@@ -38,7 +38,10 @@ fn three_devices_same_grouping_different_bytes() {
 
     // Canvas byte sets are pairwise different.
     let urls = |c: &Clustering| -> std::collections::BTreeSet<String> {
-        c.clusters.iter().map(|cl| cl.data_url.clone()).collect()
+        c.clusters
+            .iter()
+            .map(|cl| cl.data_url.to_string())
+            .collect()
     };
     let (ui, um, un) = (urls(&intel), urls(&m1), urls(&nvidia));
     assert_ne!(ui, um);
@@ -59,7 +62,10 @@ fn repeated_crawls_on_one_device_are_byte_identical() {
     let a = clustering_for(&web, DeviceProfile::intel_ubuntu());
     let b = clustering_for(&web, DeviceProfile::intel_ubuntu());
     let urls = |c: &Clustering| -> Vec<String> {
-        c.clusters.iter().map(|cl| cl.data_url.clone()).collect()
+        c.clusters
+            .iter()
+            .map(|cl| cl.data_url.to_string())
+            .collect()
     };
     assert_eq!(urls(&a), urls(&b));
 }
