@@ -1,4 +1,4 @@
-//! Checkpoints (v2) that survive process crashes.
+//! Checkpoints (v3) that survive process crashes.
 //!
 //! PR 1's checkpoint story was in-memory only: [`crate::resume_crawl`]
 //! merges against a [`CrawlDataset`] the caller kept alive. This module
@@ -14,31 +14,49 @@
 //! Format (line-oriented, append-only):
 //!
 //! ```text
-//! {"version":2,"label":"control","device_id":"intel-ubuntu"}   ← header
-//! 3a9f01bc {"url":...,"outcome":...}                            ← records
-//! 91c4e07d {"url":...,"outcome":...}
+//! {"version":3,"label":"control","device_id":"intel-ubuntu"}   ← header
+//! 5e0c9a21 "data:image/png;base64,iVBORw0KGgo..."               ← blob #0
+//! 3a9f01bc {"url":...,"data_url":"#0",...,"return_value":"#0"}  ← record
+//! 91c4e07d {"url":...,"data_url":"#0",...,"return_value":"#0"}  ← record
+//! 0b7d44e2 "data:image/png;base64,iVBORw0KGgo..."               ← blob #1
+//! 6f2e8d90 {"url":...,"data_url":"#1",...,"return_value":"#1"}  ← record
 //! ```
 //!
-//! Every record line is `<crc32 of the JSON, 8 hex chars> <record JSON>`,
-//! built in one buffer sized for it. The CRC is the PNG encoder's
-//! ([`canvassing_raster::png::crc32`]: IEEE 802.3, the polynomial zlib
-//! and PNG use, so checkpoint files are checkable with stock tooling;
-//! table-driven slicing-by-8, because the spill and the merge each run
-//! it over every ~48 KB record line) and makes torn or bit-flipped tails
-//! detectable: [`recover`] walks the file, keeps the longest valid
-//! prefix, truncates the file back to it, and returns the prefix as a
-//! [`CrawlDataset`]. Because records are written
+//! Every line after the header is a frame, `<crc32 of the JSON, 8 hex
+//! chars> <JSON>`. A frame whose JSON is a string is a *blob* holding one
+//! text. A record frame writes each text the record holds
+//! ([`SiteRecord::texts_mut`]: every extraction's `data_url` and every
+//! call's `return_value`, salvaged visits included) as `"#n"`, the n-th
+//! blob frame earlier in the same file. The writer frames a text the
+//! first time the file needs it, in the same write as its record, so a
+//! file holds each distinct text once, however many records repeat it: a
+//! script renders the same canvas on every site one machine visits, and
+//! a `toDataURL` call returns the text its extraction holds. Blobs are
+//! never shared across files, so every file stays self-contained.
+//!
+//! The CRC is the PNG encoder's ([`canvassing_raster::png::crc32`]: IEEE
+//! 802.3, the polynomial zlib and PNG use, so checkpoint files are
+//! checkable with stock tooling; table-driven slicing-by-8, because the
+//! spill and the merge each run it over every frame) and makes torn or
+//! bit-flipped tails detectable: [`recover`] walks the file, keeps the
+//! longest valid prefix, truncates the file back to it, and returns the
+//! prefix's records as a [`CrawlDataset`], each reference resolved to the
+//! one handle of its blob, so equal texts come back sharing one
+//! allocation. A torn or flipped blob frame is corruption like any other
+//! frame, and so is a record frame with a valid CRC holding a text that is
+//! not a reference to a blob read before it. Because records are written
 //! in frontier order and [`crate::resume_crawl`] is keyed by URL, a
 //! recovered prefix resumed over the same frontier merges byte-identical
 //! to a fault-free crawl — the property `tests/checkpoint_recovery.rs`
 //! sweeps over every corruption point.
 //!
 //! Torn writes are injectable ([`Fault::TornWrite`]) at this layer, not
-//! the network: the writer flushes a prefix of the line and fails, exactly
-//! once per poisoned host, so tests (`tests/checkpoint_recovery.rs`) can
-//! place a crash at any record boundary deterministically.
+//! the network: the writer flushes a prefix of what the append would write
+//! and fails, exactly once per poisoned host, so tests
+//! (`tests/checkpoint_recovery.rs`) can place a crash at any record
+//! deterministically.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
@@ -46,6 +64,7 @@ use std::path::{Path, PathBuf};
 
 use canvassing_net::{Fault, FaultPlan};
 use canvassing_raster::png::crc32;
+use canvassing_raster::SharedText;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::{CrawlDataset, SiteRecord};
@@ -58,14 +77,16 @@ struct Header {
     device_id: String,
 }
 
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 
 /// What [`recover`] found and did.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Records in the valid prefix.
     pub records_recovered: usize,
-    /// 0-based record index of the first invalid line, if any.
+    /// 0-based record index of the first record lost to corruption (the
+    /// record whose frame, or one of whose blob frames, is invalid), if
+    /// any.
     pub corrupted_at: Option<usize>,
     /// Bytes truncated off the tail (0 when the file was clean).
     pub bytes_truncated: u64,
@@ -85,8 +106,16 @@ pub struct CheckpointWriter {
     path: PathBuf,
     /// Hosts whose next append tears (consumed one-shot).
     torn_hosts: BTreeSet<String>,
+    /// Set while an append is in flight and for good once one fails or
+    /// tears: the file may then hold fewer blob frames than `blobs`
+    /// counts, and a later reference would name the wrong one.
     poisoned: bool,
     records_written: usize,
+    /// Every text framed in this file, by content hash, with the ordinal
+    /// of its blob frame.
+    blobs: HashMap<u64, Vec<(SharedText, usize)>>,
+    /// Blob frames in this file.
+    blob_count: usize,
 }
 
 impl CheckpointWriter {
@@ -98,8 +127,7 @@ impl CheckpointWriter {
             label: label.to_string(),
             device_id: device_id.to_string(),
         };
-        let line = serde_json::to_string(&header).map_err(io::Error::other)?;
-        writeln!(file, "{line}")?;
+        writeln!(file, "{}", to_json(&header)?)?;
         file.flush()?;
         Ok(CheckpointWriter {
             file,
@@ -107,12 +135,14 @@ impl CheckpointWriter {
             torn_hosts: BTreeSet::new(),
             poisoned: false,
             records_written: 0,
+            blobs: HashMap::new(),
+            blob_count: 0,
         })
     }
 
     /// Arms torn-write faults from a crawl's fault plan: the first append
     /// of a record whose URL host carries [`Fault::TornWrite`] flushes a
-    /// partial line and fails.
+    /// partial write and fails.
     pub fn arm_faults(&mut self, faults: &FaultPlan) {
         for (host, fault) in &faults.host_faults {
             if *fault == Fault::TornWrite {
@@ -132,71 +162,125 @@ impl CheckpointWriter {
     }
 
     /// Records successfully appended since [`CheckpointWriter::create`]
-    /// (torn appends don't count — their line never fully landed).
+    /// (torn appends don't count — their record never fully landed).
     pub fn records_written(&self) -> usize {
         self.records_written
     }
 
-    /// Appends one record. On an armed torn write the line is flushed
-    /// only partially (simulating a crash mid-write), the writer is
-    /// poisoned, and an error returns; [`recover`] must run before the
-    /// file is appended to again.
+    /// Appends one record, with a blob frame for each of its texts the
+    /// file does not hold yet, in one write. On an armed torn write only
+    /// part of it is flushed (simulating a crash mid-write), the writer
+    /// is poisoned, and an error returns; any failed write poisons it
+    /// too. [`recover`] must run before the file is appended to again.
     pub fn append(&mut self, record: &SiteRecord) -> io::Result<()> {
         if self.poisoned {
-            return Err(io::Error::other("checkpoint writer poisoned by torn write"));
+            return Err(io::Error::other(
+                "checkpoint writer poisoned by a torn or failed write",
+            ));
         }
-        let line = frame(record)?;
+        // Cleared only once the whole write has landed.
+        self.poisoned = true;
+        let bytes = self.encode(record)?;
         if self.torn_hosts.remove(&record.url.host) {
-            self.tear_line(&line)?;
+            self.tear_bytes(&bytes)?;
             return Err(io::Error::other(format!(
                 "torn write injected for {}",
                 record.url.host
             )));
         }
-        self.file.write_all(line.as_bytes())?;
+        self.file.write_all(bytes.as_bytes())?;
         self.file.flush()?;
+        self.poisoned = false;
         self.records_written += 1;
         Ok(())
     }
 
-    /// Simulates the owning process dying inside the `write(2)` of
-    /// `record`'s framed line: roughly half the line is flushed (no
-    /// newline) and the writer is poisoned. Unlike the armed path (a
-    /// [`Fault::TornWrite`] consumed by [`CheckpointWriter::append`]),
+    /// Simulates the owning process dying inside the `write(2)` that
+    /// appending `record` would make: about half of it is flushed, ending
+    /// inside a frame, and the writer is poisoned. Unlike the armed path
+    /// (a [`Fault::TornWrite`] consumed by [`CheckpointWriter::append`]),
     /// the tear is unconditional — the supervisor's fault injector uses
     /// it to kill a shard worker at an exact record. The on-disk state is
     /// precisely what [`recover`] truncates away.
     pub fn tear(&mut self, record: &SiteRecord) -> io::Result<()> {
-        let line = frame(record)?;
-        self.tear_line(&line)
+        self.poisoned = true;
+        let bytes = self.encode(record)?;
+        self.tear_bytes(&bytes)
     }
 
-    /// Crash mid-write: flush roughly half the line, no newline, and
-    /// poison the writer until recovery runs.
-    fn tear_line(&mut self, line: &str) -> io::Result<()> {
-        let cut = line.len() / 2;
-        self.file.write_all(&line.as_bytes()[..cut])?;
-        self.file.flush()?;
-        self.poisoned = true;
-        Ok(())
+    /// Crash mid-write: flush the first [`tear_point`] bytes of `bytes`.
+    fn tear_bytes(&mut self, bytes: &str) -> io::Result<()> {
+        let bytes = bytes.as_bytes();
+        self.file.write_all(&bytes[..tear_point(bytes)])?;
+        self.file.flush()
+    }
+
+    /// What appending `record` writes: a blob frame for each of its texts
+    /// the file does not hold yet, then the record frame, which names each
+    /// text by its blob's ordinal. The new blobs join the table here, so
+    /// the caller poisons the writer until the write has landed whole.
+    fn encode(&mut self, record: &SiteRecord) -> io::Result<String> {
+        let mut spilled = record.clone();
+        let mut bytes = String::new();
+        for text in spilled.texts_mut() {
+            let ordinal = match self.ordinal(text) {
+                Some(ordinal) => ordinal,
+                None => {
+                    push_frame(&mut bytes, &to_json(&*text)?)?;
+                    let ordinal = self.blob_count;
+                    self.blob_count += 1;
+                    let entry = (text.clone(), ordinal);
+                    self.blobs.entry(text.hash()).or_default().push(entry);
+                    ordinal
+                }
+            };
+            *text = SharedText::from(format!("#{ordinal}"));
+        }
+        push_frame(&mut bytes, &to_json(&spilled)?)?;
+        Ok(bytes)
+    }
+
+    /// The ordinal of the blob frame holding `text`, if the file has one:
+    /// found by the hash the handle carries, confirmed by the bytes.
+    fn ordinal(&self, text: &SharedText) -> Option<usize> {
+        let framed = self.blobs.get(&text.hash())?;
+        framed
+            .iter()
+            .find(|(blob, _)| blob == text)
+            .map(|&(_, ordinal)| ordinal)
     }
 }
 
-/// Frames one record as a checkpoint line, `<crc32 of the JSON, 8 hex
-/// chars> <record JSON>\n`, in a buffer sized for it up front.
-fn frame(record: &SiteRecord) -> io::Result<String> {
-    let json = serde_json::to_string(record).map_err(io::Error::other)?;
-    let mut line = String::with_capacity(9 + json.len() + 1);
-    write!(line, "{:08x} ", crc32(json.as_bytes())).map_err(io::Error::other)?;
-    line.push_str(&json);
-    line.push('\n');
-    Ok(line)
+/// Where a simulated crash cuts `bytes`, one append's frames: about half
+/// way, but never on a frame boundary, so the file always ends inside a
+/// frame. A frame's only raw newline is its last byte.
+fn tear_point(bytes: &[u8]) -> usize {
+    let cut = bytes.len() / 2;
+    if cut > 0 && bytes[cut - 1] == b'\n' {
+        cut - 1
+    } else {
+        cut
+    }
+}
+
+fn to_json<T: Serialize + ?Sized>(value: &T) -> io::Result<String> {
+    serde_json::to_string(value).map_err(io::Error::other)
+}
+
+/// Appends one frame, `<crc32 of the JSON, 8 hex chars> <JSON>\n`.
+fn push_frame(out: &mut String, json: &str) -> io::Result<()> {
+    out.reserve(9 + json.len() + 1);
+    write!(out, "{:08x} ", crc32(json.as_bytes())).map_err(io::Error::other)?;
+    out.push_str(json);
+    out.push('\n');
+    Ok(())
 }
 
 /// Reads a checkpoint, keeps the longest valid prefix, truncates the file
-/// back to exactly that prefix, and returns it as a dataset. Clean files
-/// round-trip untouched. Fails only on I/O errors or a missing/invalid
-/// header (nothing recoverable exists without one).
+/// back to exactly that prefix, and returns its records as a dataset.
+/// Clean files round-trip untouched. Fails only on I/O errors or a
+/// missing/invalid header (nothing recoverable exists without one),
+/// including a header of another format version.
 pub fn recover(path: &Path) -> io::Result<(CrawlDataset, RecoveryReport)> {
     let file = fs::File::open(path)?;
     let mut reader = BufReader::new(file);
@@ -208,11 +292,15 @@ pub fn recover(path: &Path) -> io::Result<(CrawlDataset, RecoveryReport)> {
     if header.version != VERSION {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("unsupported checkpoint version {}", header.version),
+            format!(
+                "unsupported checkpoint version {} (this build reads version {VERSION})",
+                header.version
+            ),
         ));
     }
 
     let mut records = Vec::new();
+    let mut blobs = Vec::new();
     let mut valid_bytes = header_line.len() as u64;
     let mut corrupted_at = None;
     let mut raw = Vec::new();
@@ -222,27 +310,17 @@ pub fn recover(path: &Path) -> io::Result<(CrawlDataset, RecoveryReport)> {
         if n == 0 {
             break;
         }
-        // Raw bytes first: a crash can leave arbitrary garbage, including
-        // invalid UTF-8, which is corruption — not an I/O error.
-        let parsed = std::str::from_utf8(&raw)
-            .ok()
-            .filter(|line| line.ends_with('\n'))
-            .and_then(parse_record_line);
-        match parsed {
-            Some(record) => {
-                records.push(record);
-                valid_bytes += n as u64;
-            }
-            // A parseable final line without its newline is still torn:
-            // the crash may have landed inside a trailing byte run that
-            // happens to parse. Only newline-terminated lines count.
+        match read_frame(&raw, &blobs) {
+            Some(Frame::Blob(text)) => blobs.push(text),
+            Some(Frame::Record(record)) => records.push(record),
             None => {
                 corrupted_at = Some(records.len());
                 break;
             }
         }
+        valid_bytes += n as u64;
     }
-    // Swallow anything after the first bad line too: it is unreachable
+    // Swallow anything after the first bad frame too: it is unreachable
     // via append-only writes and must not survive recovery.
     let total = fs::metadata(path)?.len();
     let bytes_truncated = total - valid_bytes;
@@ -267,9 +345,22 @@ pub fn recover(path: &Path) -> io::Result<(CrawlDataset, RecoveryReport)> {
     Ok((dataset, report))
 }
 
-fn parse_record_line(line: &str) -> Option<SiteRecord> {
-    let trimmed = line.trim_end_matches('\n');
-    let (crc_hex, json) = trimmed.split_once(' ')?;
+/// One valid frame after the header.
+enum Frame {
+    Blob(SharedText),
+    Record(SiteRecord),
+}
+
+/// Reads one line as a frame, resolving a record's references against
+/// the `blobs` read before it. `None` is corruption.
+fn read_frame(line: &[u8], blobs: &[SharedText]) -> Option<Frame> {
+    // Raw bytes first: a crash can leave arbitrary garbage, including
+    // invalid UTF-8, which is corruption — not an I/O error.
+    let line = std::str::from_utf8(line).ok()?;
+    // A parseable final line without its newline is still torn: the
+    // crash may have landed inside a trailing byte run that happens to
+    // parse. Only newline-terminated lines count.
+    let (crc_hex, json) = line.strip_suffix('\n')?.split_once(' ')?;
     // The frame is canonical lowercase hex; anything else (including an
     // uppercase variant that would parse to the same value) is corruption.
     if crc_hex.len() != 8
@@ -283,7 +374,22 @@ fn parse_record_line(line: &str) -> Option<SiteRecord> {
     if crc32(json.as_bytes()) != expected {
         return None;
     }
-    serde_json::from_str(json).ok()
+    if json.starts_with('"') {
+        return serde_json::from_str(json).ok().map(Frame::Blob);
+    }
+    let mut record: SiteRecord = serde_json::from_str(json).ok()?;
+    for text in record.texts_mut() {
+        *text = blobs.get(blob_ordinal(text)?)?.clone();
+    }
+    Some(Frame::Record(record))
+}
+
+/// The ordinal a record frame's text names: `#` and a decimal in the
+/// writer's canonical form (no sign, no leading zero).
+fn blob_ordinal(reference: &str) -> Option<usize> {
+    let digits = reference.strip_prefix('#')?;
+    let ordinal: usize = digits.parse().ok()?;
+    (ordinal.to_string() == digits).then_some(ordinal)
 }
 
 /// Writes a complete dataset as a checkpoint via write-temp-then-rename,
@@ -446,6 +552,24 @@ mod tests {
         let (_, second) = recover(&path).unwrap();
         assert!(second.clean());
         fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_tear_ends_inside_a_frame() {
+        // Blob and record frames of every pair of lengths: where half of
+        // the write is their boundary, the cut moves into the first frame.
+        let frame = |len: usize| "x".repeat(len - 1) + "\n";
+        let mut moved = 0;
+        for first in 11..40 {
+            for second in 11..40 {
+                let bytes = frame(first) + &frame(second);
+                let cut = tear_point(bytes.as_bytes());
+                assert!(cut > 0 && cut < bytes.len());
+                assert_ne!(bytes.as_bytes()[cut - 1], b'\n', "{first}+{second}");
+                moved += usize::from(cut != bytes.len() / 2);
+            }
+        }
+        assert!(moved > 0, "some halves land on the boundary");
     }
 
     #[test]

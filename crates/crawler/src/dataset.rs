@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 
 use canvassing_browser::{PageVisit, VisitError};
 use canvassing_net::{FetchError, Url};
+use canvassing_raster::SharedText;
 use serde::{Deserialize, Serialize};
 
 /// Why a site visit failed, as a closed taxonomy the analysis layer can
@@ -215,6 +216,28 @@ impl SiteRecord {
             SiteOutcome::Success(_) => VisitFidelity::Full,
             SiteOutcome::Failure(f) => f.fidelity(),
         }
+    }
+
+    /// Every shared text the record holds, in a fixed order: each
+    /// extraction's data URL, then each call's return value, of the visit
+    /// or of a failure's salvaged partial visit.
+    pub fn texts_mut(&mut self) -> impl Iterator<Item = &mut SharedText> {
+        let visit = match &mut self.outcome {
+            SiteOutcome::Success(visit)
+            | SiteOutcome::Failure(SiteFailure {
+                salvage: Some(visit),
+                ..
+            }) => Some(visit),
+            SiteOutcome::Failure(_) => None,
+        };
+        visit.into_iter().flat_map(|visit| {
+            let data_urls = visit.extractions.iter_mut().map(|e| &mut e.data_url);
+            let returns = visit
+                .api_calls
+                .iter_mut()
+                .filter_map(|c| c.return_value.as_mut());
+            data_urls.chain(returns)
+        })
     }
 }
 

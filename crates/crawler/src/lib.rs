@@ -37,9 +37,10 @@
 //! * **Checkpoint/resume** — [`resume_crawl`] skips sites already present
 //!   in a partial dataset and merges to the exact dataset a single
 //!   uninterrupted crawl would have produced; the [`checkpoint`] module
-//!   adds the on-disk form (CRC-framed records, torn-write recovery,
-//!   atomic snapshots), which survives process death but not power loss:
-//!   no write path calls `fsync`.
+//!   adds the on-disk form (CRC-framed records that reference each
+//!   distinct canvas once per file, torn-write recovery, atomic
+//!   snapshots), which survives process death but not power loss: no
+//!   write path calls `fsync`.
 //! * **Circuit breakers** — opt-in per-host breakers ([`BreakerPolicy`])
 //!   short-circuit visits to hosts that keep failing; state is planned
 //!   deterministically ([`BreakerPlan`]) so the dataset stays

@@ -7,9 +7,12 @@
 //! the frontier.
 //!
 //! Every segment is a complete, self-describing checkpoint in the
-//! CRC-framed v2 format — [`crate::checkpoint::recover`] works on any
-//! segment unchanged, and a torn tail in one segment loses at most that
-//! segment's suffix. File names embed shard, lease epoch and sequence
+//! CRC-framed v3 format, which frames each distinct text (a canvas data
+//! URL, a call's return value) once per file as a blob that the segment's
+//! records reference. No blob is shared across segments, so
+//! [`crate::checkpoint::recover`] works on any segment unchanged, and a
+//! torn or flipped frame in one segment loses at most that segment's
+//! suffix. File names embed shard, lease epoch and sequence
 //! (`shard003-e0002-seg00007.ckpt`), so re-leased and speculative owners
 //! of one shard never collide on a file, and a lexicographic sort of the
 //! spill directory is `(shard, epoch, seq)` order without any manifest.
@@ -21,10 +24,11 @@
 //! also uses. Because the breaker plan is always computed over the *full*
 //! frontier, the result is a dataset byte-identical to a single
 //! uninterrupted crawl, and each record is held once, never copied.
-//! Records share their canvases too: as each segment's records take their
-//! slots, every data URL and call return value is pointed at the first
-//! equal text the merge kept, so the merged dataset holds each distinct
-//! canvas once. That identity is the merge's proof obligation and what
+//! Records share their canvases too: recovery parses each blob of a
+//! segment once and hands its records one handle per text, and as those
+//! records take their slots, every text is pointed at the first equal
+//! text the merge kept, so the merged dataset holds each distinct canvas
+//! once. That identity is the merge's proof obligation and what
 //! `tests/streaming_equivalence.rs`, `tests/checkpoint_recovery.rs` and
 //! `tests/supervisor_chaos.rs` sweep.
 
@@ -39,15 +43,16 @@ use canvassing_raster::SharedText;
 use canvassing_trace::{TraceSink, VisitRecorder};
 
 use crate::checkpoint::{recover, CheckpointWriter};
-use crate::dataset::{CrawlDataset, SiteFailure, SiteOutcome, SiteRecord};
+use crate::dataset::{CrawlDataset, SiteRecord};
 use crate::{fill_gaps, CrawlConfig};
 
 /// Rolls visit records into bounded CRC-framed segment files.
 ///
-/// Each segment is a standalone v2 checkpoint holding at most
+/// Each segment is a standalone v3 checkpoint holding at most
 /// `segment_sites` records; when one fills, it is sealed and the next
-/// opens. The writer never holds more than the current segment's file
-/// handle — memory is constant in the number of records spilled.
+/// opens. The writer holds the current segment's file handle and its
+/// table of framed texts, which points at texts the records already
+/// hold — memory is bounded by one segment, not by the records spilled.
 pub struct SegmentWriter {
     dir: PathBuf,
     label: String,
@@ -178,9 +183,10 @@ impl SegmentWriter {
         Ok(std::mem::take(&mut self.sealed))
     }
 
-    /// Simulates the owning process dying while appending `record`: half
-    /// the framed line lands in the current segment (opening a fresh one
-    /// if none is open) and the file handle dies with the process,
+    /// Simulates the owning process dying while appending `record`: about
+    /// half of its write, blob frames included, lands in the current
+    /// segment (opening a fresh one if none is open), ending inside a
+    /// frame, and the file handle dies with the process,
     /// leaving an unsealed segment with a torn tail — the exact state
     /// [`crate::checkpoint::recover`] is built to clean up. Supervisor
     /// fault injection only; a real crash needs no help.
@@ -328,25 +334,11 @@ pub(crate) fn merge_segments(
     Ok((merged, report))
 }
 
-/// Points each extraction's data URL and each call's return value in
-/// `record` at the equal text in `kept`, adding the ones `kept` lacks.
-/// `kept` is ordered by bytes, so the merge matches canvases without
-/// hashing them.
+/// Points each text of `record` ([`SiteRecord::texts_mut`]) at the equal
+/// text in `kept`, adding the ones `kept` lacks. `kept` is ordered by
+/// bytes, so the merge matches canvases without hashing them.
 fn share_texts(record: &mut SiteRecord, kept: &mut BTreeSet<SharedText>) {
-    let visit = match &mut record.outcome {
-        SiteOutcome::Success(visit)
-        | SiteOutcome::Failure(SiteFailure {
-            salvage: Some(visit),
-            ..
-        }) => visit,
-        SiteOutcome::Failure(_) => return,
-    };
-    let data_urls = visit.extractions.iter_mut().map(|e| &mut e.data_url);
-    let returns = visit
-        .api_calls
-        .iter_mut()
-        .filter_map(|c| c.return_value.as_mut());
-    for text in data_urls.chain(returns) {
+    for text in record.texts_mut() {
         match kept.get(&*text) {
             Some(shared) => *text = shared.clone(),
             None => {

@@ -211,9 +211,9 @@ impl SupervisorConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerFault {
     /// Die while appending the `0`-based `k`-th record of this
-    /// ownership: the record's framed line lands half-written (torn
-    /// segment tail), exactly as a crash inside `write(2)` would leave
-    /// it.
+    /// ownership: about half of the record's write (its new blob frames,
+    /// then its record frame) lands, ending inside a frame (torn segment
+    /// tail), exactly as a crash inside `write(2)` would leave it.
     CrashAtRecord(usize),
     /// Die after acquiring the lease but before any spill lands — the
     /// shard has an owner on paper and nothing on disk.
@@ -1126,14 +1126,13 @@ mod tests {
 
     #[test]
     fn merge_shares_each_canvas_across_overlapping_shards() {
-        use crate::dataset::SiteOutcome;
         use canvassing_raster::SharedText;
         let (web, frontier, config) = workload();
         let dir = tmp_dir("share");
         let mut faults = FaultScript::none();
         faults.duplicate_launch(0, 2);
         faults.inject(1, 1, WorkerFault::CrashAtRecord(3));
-        let (merged, report) =
+        let (mut merged, report) =
             supervise_crawl(&web.network, &frontier, &config, &dir, &sup(2, 5), &faults).unwrap();
         assert!(report.merge.duplicates_dropped > 0, "shard 0 ran twice");
         let direct = crate::crawl(&web.network, &frontier, &config);
@@ -1142,21 +1141,20 @@ mod tests {
             serde_json::to_string(&direct).unwrap()
         );
         // Every text equal to an earlier one is that one's allocation.
-        let mut first: BTreeMap<&str, &SharedText> = BTreeMap::new();
+        let mut first: BTreeMap<String, SharedText> = BTreeMap::new();
         let mut shared = 0;
-        for record in &merged.records {
-            let SiteOutcome::Success(visit) = &record.outcome else {
-                continue;
-            };
-            let data_urls = visit.extractions.iter().map(|e| &e.data_url);
-            let returns = visit
-                .api_calls
-                .iter()
-                .filter_map(|c| c.return_value.as_ref());
-            for text in data_urls.chain(returns) {
-                let kept = *first.entry(text.as_str()).or_insert(text);
-                assert!(SharedText::ptr_eq(kept, text), "{} copied", record.url);
-                shared += usize::from(!std::ptr::eq(kept, text) && text.starts_with("data:"));
+        for record in &mut merged.records {
+            let url = record.url.clone();
+            for text in record.texts_mut() {
+                match first.get(text.as_str()) {
+                    Some(kept) => {
+                        assert!(SharedText::ptr_eq(kept, text), "{url} copied");
+                        shared += usize::from(text.starts_with("data:"));
+                    }
+                    None => {
+                        first.insert(text.to_string(), text.clone());
+                    }
+                }
             }
         }
         assert!(shared > 0, "the workload repeats canvases across records");

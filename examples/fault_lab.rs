@@ -9,6 +9,9 @@
 //! ```sh
 //! cargo run --release --example fault_lab -- [scale] [matrix-seed]
 //! ```
+//!
+//! It exits non-zero when any byte-identity check it prints reads
+//! `false`, so a smoke run catches a checkpoint or determinism regression.
 
 // Tests/tools exercise failure paths where panicking on a broken
 // invariant is the correct outcome.
@@ -20,6 +23,7 @@ use canvassing_crawler::{
 };
 use canvassing_net::FaultMatrix;
 use canvassing_webgen::{Cohort, SyntheticWeb, WebConfig};
+use std::process::ExitCode;
 
 fn breakdown_table(ds: &CrawlDataset) {
     let breakdown = ds.failure_breakdown();
@@ -35,7 +39,13 @@ fn breakdown_table(ds: &CrawlDataset) {
     }
 }
 
-fn main() {
+fn main() -> ExitCode {
+    // Every byte-identity check printed below passes through `check`.
+    let mut broken = 0usize;
+    let mut check = |identical: bool| {
+        broken += usize::from(!identical);
+        identical
+    };
     let scale: f64 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -93,7 +103,7 @@ fn main() {
         records: visit_once.records[..half].to_vec(),
     };
     let resumed = resume_crawl(&web.network, &frontier, &config, &checkpoint);
-    let identical = resumed.to_json().unwrap() == visit_once.to_json().unwrap();
+    let identical = check(resumed.to_json().unwrap() == visit_once.to_json().unwrap());
     println!(
         "  resumed from a {half}-site checkpoint: byte-identical to the \
          uninterrupted crawl = {identical}"
@@ -105,7 +115,7 @@ fn main() {
     let single = crawl(&web.network, &frontier, &solo);
     println!(
         "  workers=1 vs workers=8: byte-identical = {}",
-        single.to_json().unwrap() == visit_once.to_json().unwrap()
+        check(single.to_json().unwrap() == visit_once.to_json().unwrap())
     );
 
     println!("\npartial-visit salvage (fidelity tiers):");
@@ -142,7 +152,7 @@ fn main() {
     let resumed = resume_crawl(&web.network, &frontier, &config, &recovered);
     println!(
         "  resumed from the recovered prefix: byte-identical = {}",
-        resumed.to_json().unwrap() == visit_once.to_json().unwrap()
+        check(resumed.to_json().unwrap() == visit_once.to_json().unwrap())
     );
     let _ = std::fs::remove_file(&path);
 
@@ -177,7 +187,13 @@ fn main() {
         stats.breaker_short_circuits,
         {
             let again = crawl(&web.network, &frontier, &breakered);
-            again.to_json().unwrap() == with_breakers.to_json().unwrap()
+            check(again.to_json().unwrap() == with_breakers.to_json().unwrap())
         }
     );
+
+    if broken > 0 {
+        eprintln!("fault_lab: {broken} byte-identity check(s) read false");
+        return ExitCode::FAILURE;
+    }
+    ExitCode::SUCCESS
 }

@@ -1,14 +1,15 @@
-//! Crash-consistency acceptance tests for the v2 checkpoint format: a
+//! Crash-consistency acceptance tests for the v3 checkpoint format: a
 //! checkpoint corrupted at *any* point — torn writes at every record
-//! boundary, plus a seeded randomized sweep of bit flips, truncations,
-//! and garbage tails — must recover to a valid prefix of the original
-//! records, recovery must be idempotent, and resuming from the recovered
-//! prefix must merge byte-identical to the uninterrupted dataset at
-//! every worker count.
+//! boundary, tears inside and after blob frames, plus a seeded randomized
+//! sweep of bit flips, truncations, and garbage tails — must recover to a
+//! valid prefix of the original records, recovery must be idempotent, and
+//! resuming from the recovered prefix must merge byte-identical to the
+//! uninterrupted dataset at every worker count. Blob frames hold each
+//! distinct text once per file, and a record frame must name only blobs
+//! read before it.
 //!
-//! The randomized sweep is a hand-rolled property test (the environment
-//! ships a no-op `proptest` stub): a fixed-seed LCG drives the corruption
-//! choices, so failures replay exactly.
+//! The randomized sweeps are hand-rolled property tests: a fixed-seed LCG
+//! drives the corruption choices, so failures replay exactly.
 
 // Tests/tools exercise failure paths where panicking on a broken
 // invariant is the correct outcome.
@@ -18,10 +19,12 @@ use std::path::{Path, PathBuf};
 
 use canvassing_crawler::{
     checkpoint, crawl, list_supervised_segments, merge_supervised, resume_crawl, supervise_crawl,
-    BreakerPolicy, CrawlConfig, FaultScript, RetryPolicy, SiteRecord, SupervisorConfig,
-    WorkerFault,
+    BreakerPolicy, CrawlConfig, FailureKind, FaultScript, RetryPolicy, SiteFailure, SiteOutcome,
+    SiteRecord, SupervisorConfig, WorkerFault,
 };
 use canvassing_net::FaultMatrix;
+use canvassing_raster::png::crc32;
+use canvassing_raster::SharedText;
 use canvassing_webgen::{Cohort, SyntheticWeb, WebConfig};
 
 /// Deterministic 64-bit LCG (Knuth MMIX constants) so the sweep replays
@@ -237,6 +240,202 @@ fn recovery_refuses_files_without_a_valid_header() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A record whose visit extracts each of `texts` in turn, with a
+/// `toDataURL` call returning the same text through an allocation of its
+/// own, so only the bytes tell the writer that the two are one text. With
+/// `salvaged` the visit is a failure's salvaged partial visit instead.
+fn canvas_record(host: &str, texts: &[&str], salvaged: bool) -> SiteRecord {
+    let page = canvassing_net::Url::https(host, "/");
+    let script_url = format!("https://{host}/fp.js");
+    let mut visit = canvassing_browser::PageVisit {
+        page: page.clone(),
+        api_calls: Vec::new(),
+        extractions: Vec::new(),
+        scripts: Vec::new(),
+        blocked: Vec::new(),
+        consent_banner: false,
+    };
+    for (seq, text) in (0u64..).zip(texts) {
+        visit.extractions.push(canvassing_dom::Extraction {
+            seq,
+            timestamp_ms: seq,
+            canvas_index: 0,
+            data_url: SharedText::hashed(text),
+            mime: "image/png".into(),
+            width: 16,
+            height: 16,
+            script_url: script_url.clone(),
+        });
+        visit.api_calls.push(canvassing_dom::ApiCall {
+            seq,
+            timestamp_ms: seq,
+            interface: canvassing_dom::ApiInterface::Canvas,
+            kind: canvassing_dom::CallKind::Method,
+            name: "toDataURL".into(),
+            args: Vec::new(),
+            return_value: Some(SharedText::from(*text)),
+            script_url: script_url.clone(),
+            canvas_index: 0,
+        });
+    }
+    let outcome = if salvaged {
+        SiteOutcome::Failure(SiteFailure {
+            kind: FailureKind::Timeout,
+            error: "deadline".into(),
+            attempts: 1,
+            salvage: Some(Box::new(visit)),
+        })
+    } else {
+        SiteOutcome::Success(Box::new(visit))
+    };
+    SiteRecord { url: page, outcome }
+}
+
+/// One checkpoint frame around `json`, with a valid CRC.
+fn frame(json: &str) -> String {
+    format!("{:08x} {json}\n", crc32(json.as_bytes()))
+}
+
+/// A file of records sharing K distinct texts, across call return values,
+/// extractions and a salvaged visit, holds exactly K blob frames, and the
+/// records it recovers hold one allocation per distinct text.
+#[test]
+fn each_distinct_text_is_framed_once_and_recovers_shared() {
+    let texts = [
+        "data:image/png;base64,QUFBQQ==",
+        "data:image/png;base64,QkJCQg==",
+        "quote \" backslash \\ newline \n \u{1F603}",
+        "",
+        "data:image/png;base64,c2FsdmFnZWQ=",
+    ];
+    let records = [
+        canvas_record("a.example", &[texts[0], texts[1]], false),
+        canvas_record("b.example", &[texts[1], texts[0], texts[1]], false),
+        canvas_record("c.example", &[], false),
+        canvas_record("d.example", &[texts[2], texts[3]], false),
+        canvas_record("e.example", &[texts[4], texts[0]], true),
+    ];
+    let path = tmp_path("blobs");
+    let mut writer =
+        checkpoint::CheckpointWriter::create(&path, "control", "intel-ubuntu").unwrap();
+    for record in &records {
+        writer.append(record).unwrap();
+    }
+    drop(writer);
+    let bytes = std::fs::read(&path).unwrap();
+    let boundaries = frame_boundaries(&bytes);
+    let blobs = boundaries
+        .windows(2)
+        .filter(|pair| is_blob_frame(&bytes, pair[0]))
+        .count();
+    assert_eq!(blobs, texts.len(), "one blob frame per distinct text");
+    assert_eq!(boundaries.len() - 1, texts.len() + records.len());
+
+    let (mut recovered, report) = checkpoint::recover(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert!(report.clean());
+    assert_eq!(recovered.records.len(), records.len());
+    for (back, record) in recovered.records.iter().zip(&records) {
+        assert_eq!(record_json(back), record_json(record));
+    }
+    let held: Vec<SharedText> = recovered
+        .records
+        .iter_mut()
+        .flat_map(|record| record.texts_mut().map(|text| text.clone()))
+        .collect();
+    assert_eq!(held.len(), 2 * (2 + 3 + 2 + 2));
+    for a in &held {
+        for b in &held {
+            assert_eq!(
+                SharedText::ptr_eq(a, b),
+                a.as_str() == b.as_str(),
+                "{a:?} {b:?}"
+            );
+        }
+    }
+}
+
+/// A record frame with a valid CRC is still corruption when a text in it
+/// is not a reference, or names a blob not read before it (one that does
+/// not exist, or one that comes after it): recovery keeps the records
+/// before it and truncates the rest.
+#[test]
+fn record_frames_naming_no_earlier_blob_are_corruption() {
+    let path = tmp_path("references");
+    let mut writer =
+        checkpoint::CheckpointWriter::create(&path, "control", "intel-ubuntu").unwrap();
+    writer
+        .append(&canvas_record(
+            "a.example",
+            &["data:image/png;base64,QUFB"],
+            false,
+        ))
+        .unwrap();
+    drop(writer);
+    let pristine = std::fs::read(&path).unwrap();
+    // A record whose two texts are both written as `reference`.
+    let naming = |reference: &str| {
+        frame(&record_json(&canvas_record(
+            "b.example",
+            &[reference],
+            false,
+        )))
+    };
+    let second_blob = frame(&serde_json::to_string("data:image/png;base64,QkJC").unwrap());
+    let cases = [
+        (naming("#0"), Some("data:image/png;base64,QUFB")),
+        (
+            second_blob.clone() + &naming("#1"),
+            Some("data:image/png;base64,QkJC"),
+        ),
+        (naming("abc"), None),
+        (naming("#9"), None),
+        (naming("#00"), None),
+        (naming("#1") + &second_blob, None),
+    ];
+    for (tail, resolved) in cases {
+        std::fs::write(&path, [pristine.as_slice(), tail.as_bytes()].concat()).unwrap();
+        let (mut recovered, report) = checkpoint::recover(&path).unwrap();
+        match resolved {
+            Some(text) => {
+                assert!(report.clean(), "{tail:.40}");
+                assert_eq!(recovered.records.len(), 2);
+                let texts: Vec<_> = recovered.records[1]
+                    .texts_mut()
+                    .map(|t| t.clone())
+                    .collect();
+                assert_eq!(texts.len(), 2);
+                assert!(texts.iter().all(|t| *t == text), "{tail:.40}");
+            }
+            None => {
+                assert_eq!(recovered.records.len(), 1, "{tail:.40}");
+                assert_eq!(report.corrupted_at, Some(1), "{tail:.40}");
+                assert_eq!(report.bytes_truncated, tail.len() as u64, "{tail:.40}");
+                assert_eq!(std::fs::read(&path).unwrap(), pristine, "{tail:.40}");
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// There is one checkpoint format: a file with an older header is refused
+/// with an error naming its version, and left as it was.
+#[test]
+fn version_2_checkpoints_are_refused_naming_the_version() {
+    let path = tmp_path("v2");
+    let record = canvas_record("a.example", &["data:image/png;base64,QUFB"], false);
+    let v2 = format!(
+        "{{\"version\":2,\"label\":\"control\",\"device_id\":\"intel-ubuntu\"}}\n{}",
+        frame(&record_json(&record))
+    );
+    std::fs::write(&path, &v2).unwrap();
+    let err = checkpoint::recover(&path).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(err.to_string().contains("version 2"), "{err}");
+    assert_eq!(std::fs::read(&path).unwrap(), v2.as_bytes());
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A fresh spill directory.
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("seg-recovery-{tag}-{}", std::process::id()));
@@ -276,8 +475,8 @@ fn segment_records(path: &Path) -> Vec<SiteRecord> {
     ds.records
 }
 
-/// Byte offsets of every record-frame boundary in a segment file
-/// (start of each record line, plus end of file).
+/// Byte offsets of every frame boundary in a checkpoint file (start of
+/// each frame line after the header, plus end of file).
 fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     let header_len = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
     let mut boundaries = vec![header_len];
@@ -289,11 +488,17 @@ fn frame_boundaries(bytes: &[u8]) -> Vec<usize> {
     boundaries
 }
 
+/// Whether the frame starting at `start` is a blob: its JSON, after the
+/// eight hex digits of the CRC and a space, is a string.
+fn is_blob_frame(bytes: &[u8], start: usize) -> bool {
+    bytes[start + 9] == b'"'
+}
+
 /// The boundary sweep extended to supervised segment files: tearing *any*
-/// segment at *any* frame boundary — and mid-frame — truncates that
-/// segment to its valid prefix on recovery, and a merge over the
-/// recovered segments resumes the lost suffix byte-identical to the
-/// uninterrupted crawl.
+/// segment at *any* frame boundary — and mid-frame, blob frames included —
+/// truncates that segment to its valid prefix on recovery, and a merge
+/// over the recovered segments resumes the lost suffix byte-identical to
+/// the uninterrupted crawl.
 #[test]
 fn segment_torn_at_every_frame_boundary_merges_byte_identical() {
     let (web, frontier) = workload();
@@ -302,6 +507,7 @@ fn segment_torn_at_every_frame_boundary_merges_byte_identical() {
     let full_json = full.to_json().unwrap();
     let (dir, segments, pristine) = spilled_workload("boundary", &web, &frontier, &config);
 
+    let (mut inside_blob, mut blob_then_record) = (0usize, 0usize);
     for (seg, bytes) in segments.iter().zip(&pristine) {
         let original = segment_records(seg);
         let boundaries = frame_boundaries(bytes);
@@ -309,6 +515,11 @@ fn segment_torn_at_every_frame_boundary_merges_byte_identical() {
         let mut tears: Vec<usize> = boundaries.clone();
         for pair in boundaries.windows(2) {
             tears.push(pair[0] + (pair[1] - pair[0]) / 2);
+            inside_blob += usize::from(is_blob_frame(bytes, pair[0]));
+        }
+        for triple in boundaries.windows(3) {
+            blob_then_record +=
+                usize::from(is_blob_frame(bytes, triple[0]) && !is_blob_frame(bytes, triple[1]));
         }
         for &tear in &tears {
             std::fs::write(seg, &bytes[..tear]).unwrap();
@@ -345,6 +556,11 @@ fn segment_torn_at_every_frame_boundary_merges_byte_identical() {
             std::fs::write(seg, bytes).unwrap();
         }
     }
+    assert!(inside_blob > 0, "some tears land inside blob frames");
+    assert!(
+        blob_then_record > 0,
+        "some tears land between a blob frame and its record"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -573,7 +789,7 @@ fn escape_record(run: &str) -> SiteRecord {
     };
     SiteRecord {
         url: page,
-        outcome: canvassing_crawler::SiteOutcome::Success(Box::new(visit)),
+        outcome: SiteOutcome::Success(Box::new(visit)),
     }
 }
 
@@ -588,8 +804,8 @@ fn base64_run() -> String {
 
 fn api_calls(record: &SiteRecord) -> &[canvassing_dom::ApiCall] {
     match &record.outcome {
-        canvassing_crawler::SiteOutcome::Success(visit) => &visit.api_calls,
-        canvassing_crawler::SiteOutcome::Failure(failure) => panic!("not a success: {failure:?}"),
+        SiteOutcome::Success(visit) => &visit.api_calls,
+        SiteOutcome::Failure(failure) => panic!("not a success: {failure:?}"),
     }
 }
 
@@ -609,8 +825,17 @@ const ESCAPE_RECORD_JSON: &str = concat!(
     "],\"consent_banner\":false}]}}",
 );
 
-/// The CRC-32 of [`escape_record`]'s JSON, as the checkpoint frame writes it.
-const ESCAPE_RECORD_CRC: &str = "258976c5";
+/// [`escape_record`]'s return value as a JSON string: in
+/// [`ESCAPE_RECORD_JSON`], and the whole JSON of the blob frame that holds
+/// it in a checkpoint.
+const ESCAPE_RETURN_JSON: &str = "\"\u{1f603}\\\"\\\\\"";
+
+/// The CRC-32 of that blob frame's JSON.
+const ESCAPE_BLOB_CRC: &str = "dd674166";
+
+/// The CRC-32 of [`escape_record`]'s record frame JSON: [`ESCAPE_RECORD_JSON`]
+/// with the return value written as `"#0"`, a reference to the blob.
+const ESCAPE_RECORD_CRC: &str = "fe02f8b1";
 
 /// The JSON of a record full of escapes, multi-byte text and a long run
 /// is pinned byte for byte, and parses back to an equal record.
@@ -627,10 +852,13 @@ fn escape_heavy_record_json_is_pinned_and_roundtrips() {
     assert_eq!(record_json(&back), json);
 }
 
-/// The checkpoint frame of that record is pinned byte for byte, for both
-/// a complete append and a torn one: the output digests hash records,
-/// not spill files, so a CRC that changed on the writing and the
-/// reading side alike would pass every other gate.
+/// The checkpoint frames of that record are pinned byte for byte, for
+/// both a complete append and a torn one: the output digests hash
+/// records, not spill files, so a CRC that changed on the writing and the
+/// reading side alike would pass every other gate. The append writes the
+/// return value's blob frame, then the record frame naming it; the torn
+/// append writes half a record frame and no blob, because the text is
+/// already framed in the file.
 #[test]
 fn escape_heavy_record_frames_to_a_pinned_line() {
     let run = base64_run();
@@ -644,14 +872,20 @@ fn escape_heavy_record_frames_to_a_pinned_line() {
     let bytes = std::fs::read(&path).unwrap();
     let _ = std::fs::remove_file(&path);
 
-    let header = "{\"version\":2,\"label\":\"control\",\"device_id\":\"intel-ubuntu\"}\n";
+    let header = "{\"version\":3,\"label\":\"control\",\"device_id\":\"intel-ubuntu\"}\n";
+    let blob = format!("{ESCAPE_BLOB_CRC} {ESCAPE_RETURN_JSON}\n");
+    let returned = format!("\"return_value\":{ESCAPE_RETURN_JSON}");
+    assert_eq!(ESCAPE_RECORD_JSON.matches(&returned).count(), 1);
+    let referenced = ESCAPE_RECORD_JSON.replace(&returned, "\"return_value\":\"#0\"");
     let line = format!(
         "{ESCAPE_RECORD_CRC} {}\n",
-        ESCAPE_RECORD_JSON.replace("<RUN>", &run)
+        referenced.replace("<RUN>", &run)
     );
     let torn = &line.as_bytes()[..line.len() / 2];
     let (head, tail) = bytes.split_at(header.len().min(bytes.len()));
     assert_eq!(String::from_utf8_lossy(head), header);
+    let (blob_frame, tail) = tail.split_at(blob.len().min(tail.len()));
+    assert_eq!(String::from_utf8_lossy(blob_frame), blob);
     assert_eq!(tail.len(), line.len() + torn.len());
     let (appended, torn_tail) = tail.split_at(line.len());
     assert!(
@@ -664,7 +898,7 @@ fn escape_heavy_record_frames_to_a_pinned_line() {
 
 /// Segment count, total length and FNV-1a of a small supervised spill:
 /// each segment's file name and bytes, in merge order.
-const PINNED_SPILL: (usize, usize, u64) = (6, 479_265, 14_147_340_831_223_912_508);
+const PINNED_SPILL: (usize, usize, u64) = (6, 256_035, 3_429_618_884_474_088_798);
 
 /// The bytes a supervised crawl spills are pinned: segment names,
 /// headers and every CRC-framed record line.
