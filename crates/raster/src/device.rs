@@ -147,6 +147,24 @@ mod tests {
         }
     }
 
+    /// Full coverage shades to exactly 1.0 whatever the gamma (`powf(1.0,
+    /// g)` is 1.0), which the canvas's full-coverage fast path relies on.
+    #[test]
+    fn full_coverage_shades_to_one() {
+        let profiles = [
+            DeviceProfile::intel_ubuntu(),
+            DeviceProfile::apple_m1(),
+            DeviceProfile::windows_nvidia(),
+        ];
+        for mut device in profiles {
+            assert_eq!(device.shade(1.0), 1.0, "{}", device.id);
+            for tenths in 1..=40 {
+                device.coverage_gamma = tenths as f64 / 10.0 + 0.013;
+                assert_eq!(device.shade(1.0), 1.0, "gamma {}", device.coverage_gamma);
+            }
+        }
+    }
+
     #[test]
     fn shade_is_identity_for_linear_gamma() {
         let intel = DeviceProfile::intel_ubuntu();

@@ -319,6 +319,26 @@ mod tests {
         assert!((c.r as i32 - 128).abs() <= 1, "got {c:?}");
     }
 
+    /// The exactness argument behind the canvas's full-coverage fast path:
+    /// source-over of an opaque source at coverage 1.0 returns the source
+    /// exactly. Each source channel takes all 256 values, against every
+    /// destination alpha and a spread of destination colors.
+    #[test]
+    fn opaque_full_coverage_source_over_returns_the_source() {
+        const SPREAD: [u8; 9] = [0, 1, 2, 63, 127, 128, 200, 254, 255];
+        for v in 0..=255u8 {
+            // 255 - v and 97·v also take every value as v does.
+            let src = Color::rgb(v, 255 - v, v.wrapping_mul(97));
+            for a in 0..=255 {
+                for d in SPREAD {
+                    let dst = Color::rgba(d, 255 - d, d ^ 0x5a, a);
+                    let out = composite(src, dst, 1.0, CompositeOp::SourceOver);
+                    assert!(out == src, "{src:?} over {dst:?} gave {out:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn lighter_saturates() {
         let mut s = Surface::new(1, 1);
