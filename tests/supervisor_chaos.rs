@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use canvassing::study::{run_study_streamed, run_study_supervised, StreamingOptions, StudyOptions};
 use canvassing_crawler::{
-    crawl, read_lease, shard_range, supervise_crawl, CrawlConfig, FaultScript, RetryPolicy,
+    crawl, read_lease, shard_range, supervise_crawl, CrawlConfig, FaultScript, Lease, RetryPolicy,
     SpeculationPolicy, SupervisorConfig, WorkerFault,
 };
 use canvassing_net::{FaultMatrix, Network, Url};
@@ -370,6 +370,131 @@ fn seeded_chaos_sweep_is_always_byte_identical() {
             "seeded chaos {seed}"
         );
     }
+}
+
+/// `counters` of each seeded chaos run racing owners quiet for two ticks,
+/// seeds 1 to 6.
+const SEEDED_RACE_COUNTERS: [[usize; 12]; 6] = [
+    [6, 1, 1, 0, 0, 1, 1, 0, 44, 4, 3, 2],
+    [7, 2, 0, 1, 0, 1, 2, 1, 44, 4, 3, 2],
+    [9, 5, 0, 0, 0, 0, 5, 0, 44, 4, 0, 3],
+    [7, 1, 1, 1, 0, 2, 1, 1, 44, 4, 4, 2],
+    [8, 2, 1, 1, 0, 2, 2, 1, 48, 8, 6, 3],
+    [9, 4, 0, 0, 1, 0, 5, 0, 44, 4, 0, 3],
+];
+
+/// The seeded sweep again under `Race { after_quiet_ticks: 2 }`: the
+/// seeded stragglers (one record every 3–6 ticks) stay quiet long enough
+/// to be raced, so speculation runs beside the seeded crashes, stalls and
+/// duplicate launches, which `SupervisorConfig::new`'s six quiet ticks
+/// never allow.
+#[test]
+fn seeded_chaos_with_eager_speculation_is_byte_identical() {
+    let (web, frontier, config) = workload();
+    let mut s = sup(4, 5);
+    s.speculation = SpeculationPolicy::Race {
+        after_quiet_ticks: 2,
+    };
+    let seen: Vec<[usize; 12]> = (1..=6u64)
+        .map(|seed| {
+            let report = assert_supervised_identical(
+                &web.network,
+                &frontier,
+                &config,
+                &tmp_dir(&format!("seeded-race-{seed}")),
+                &s,
+                &FaultScript::seeded(seed, 4),
+                &format!("seeded chaos {seed}, eager speculation"),
+            );
+            counters(&report)
+        })
+        .collect();
+    assert_eq!(seen, SEEDED_RACE_COUNTERS, "counters of seeds 1 to 6");
+    assert!(
+        seen.iter().any(|c| c[7] > 0),
+        "some seed must race a speculative owner"
+    );
+}
+
+/// The livelock valve: when shard 0's owner dies before its first spill
+/// at every epoch, the crawl fails once the shard has used its 32 epochs
+/// instead of re-leasing forever.
+#[test]
+fn a_shard_that_never_spills_fails_at_the_epoch_cap() {
+    let (web, frontier, config) = workload();
+    let dir = tmp_dir("epoch-cap");
+    let mut faults = FaultScript::none();
+    for epoch in 1..=40 {
+        faults.inject(0, epoch, WorkerFault::CrashBeforeFirstSpill);
+    }
+    let err = supervise_crawl(&web.network, &frontier, &config, &dir, &sup(2, 6), &faults)
+        .expect_err("an owner that never spills must exhaust the epochs");
+    assert_eq!(err.kind(), std::io::ErrorKind::Other);
+    assert_eq!(
+        err.to_string(),
+        "shard 0 exceeded 32 epochs — supervision livelock"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a run with a crash (shard 0), a duplicate launch (shard 1) and a
+/// stall (shard 2) leaves behind: each shard's full lease as released by
+/// its last owner, and no file but the segments and one lease per shard.
+#[test]
+fn mixed_fault_supervision_leaves_released_leases_and_no_residue() {
+    let (web, frontier, config) = workload();
+    let dir = tmp_dir("released-mixed");
+    let mut faults = FaultScript::none();
+    faults.inject(0, 1, WorkerFault::CrashAtRecord(2));
+    faults.duplicate_launch(1, 3);
+    faults.inject(2, 1, WorkerFault::Stall { after_records: 2 });
+    supervise_crawl(&web.network, &frontier, &config, &dir, &sup(3, 6), &faults).unwrap();
+    let released = |shard, worker, acquired_ms, heartbeat_ms, progress| Lease {
+        shard,
+        epoch: 2,
+        worker,
+        acquired_ms,
+        heartbeat_ms,
+        progress,
+        speculative: false,
+        released: true,
+    };
+    let expected = [
+        released(0, 4, 400, 1400, 11),
+        released(1, 3, 300, 1300, 10),
+        released(2, 5, 1800, 2900, 12),
+    ];
+    for (shard, lease) in expected.iter().enumerate() {
+        assert_eq!(
+            read_lease(&dir, shard).unwrap().as_ref(),
+            Some(lease),
+            "shard {shard}"
+        );
+    }
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    // Segments plus one lease per shard: no rename leftover (`.tmp`).
+    assert_eq!(
+        names,
+        [
+            "shard000-e0001-seg00000.ckpt",
+            "shard000-e0002-seg00000.ckpt",
+            "shard000-e0002-seg00001.ckpt",
+            "shard000.lease",
+            "shard001-e0001-seg00000.ckpt",
+            "shard001-e0002-seg00000.ckpt",
+            "shard001-e0002-seg00001.ckpt",
+            "shard001.lease",
+            "shard002-e0001-seg00000.ckpt",
+            "shard002-e0002-seg00000.ckpt",
+            "shard002-e0002-seg00001.ckpt",
+            "shard002.lease",
+        ]
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The supervised run releases every shard's lease on completion, so a
