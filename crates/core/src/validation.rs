@@ -147,11 +147,6 @@ impl ScriptVotes {
         }
     }
 
-    /// Unique script bodies voted so far.
-    pub fn unique_scripts(&self) -> usize {
-        self.votes.len()
-    }
-
     /// Finalizes the vote map into a [`ConfusionMatrix`].
     pub fn finish(&self) -> ConfusionMatrix {
         let mut matrix = ConfusionMatrix::default();
